@@ -91,6 +91,18 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _header_int(path: Path, header: dict, field: str, lowest: int) -> int:
+    """The integer header field ``field``, which must be at least ``lowest``."""
+    if field not in header:
+        raise ValidationError(f"{path}: manifest header lacks {field}")
+    value = header[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: {field} must be an integer, got {value!r}")
+    if value < lowest:
+        raise ValidationError(f"{path}: {field} must be >= {lowest}, got {value}")
+    return value
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
@@ -102,14 +114,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: unreadable manifest header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: manifest header must be a JSON object")
     if header.get("kind") != MANIFEST_KIND:
         raise ValidationError(f"{path}: not a dataset manifest (kind={header.get('kind')!r})")
     if header.get("version") != MANIFEST_VERSION:
         raise ValidationError(f"{path}: unsupported manifest version {header.get('version')}")
-    num_classes = header["num_classes"]
-    num_categories = header["num_categories"]
-    if num_classes < 2:
-        raise ValidationError(f"{path}: num_classes must be >= 2, got {num_classes}")
+    num_classes = _header_int(path, header, "num_classes", 2)
+    num_categories = _header_int(path, header, "num_categories", 1)
 
     root = path.parent
     entries: list[ManifestEntry] = []

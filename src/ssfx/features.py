@@ -6,11 +6,16 @@ population standard deviation of column/row. Positions are 1-based during
 accumulation and normalized by the mask width (x) or height (y), so every
 entry lands in [0, 1] and is comparable across mask sizes. Categories with
 zero pixels get an all-zero row.
+
+Extraction is separable: every statistic depends on a pixel's row or its
+column, never on both, so it is computed from a category-by-row and a
+category-by-column histogram of the mask rather than from per-pixel
+weights. The histograms take 8*(h+w)*(L+1) bytes; the index buffer they
+are counted from takes 8*h*w bytes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,33 +25,12 @@ __all__ = [
     "COLUMNS",
     "FeatureSubset",
     "SsfMatrix",
-    "compute_pixel_counts",
-    "normalize_pixel_counts",
-    "compute_mean_positions",
-    "compute_std_positions",
-    "normalize_positions",
     "extract_ssf",
     "select_subset",
 ]
 
 # Canonical column order of the feature matrix.
 COLUMNS = ("pc", "mu_x", "mu_y", "sigma_x", "sigma_y")
-
-# Radicands of the single-pass variance identity may undershoot zero by a few
-# ulps through cancellation; anything below this is a genuine arithmetic bug.
-_NEG_RADICAND_TOL = -1e-9
-
-
-@lru_cache(maxsize=8)
-def _coordinate_grids(h: int, w: int) -> tuple[np.ndarray, ...]:
-    """Flattened 1-based row/column coordinates (and squares) for an h x w grid."""
-    jj = np.tile(np.arange(1.0, w + 1.0), h)
-    ii = np.repeat(np.arange(1.0, h + 1.0), w)
-    jj2 = jj * jj
-    ii2 = ii * ii
-    for a in (ii, jj, ii2, jj2):
-        a.setflags(write=False)
-    return ii, jj, ii2, jj2
 
 
 @dataclass(frozen=True)
@@ -144,119 +128,38 @@ class SsfMatrix:
         return self.values[:, 4]
 
 
-def compute_pixel_counts(mask: SegmentationMask) -> np.ndarray:
-    """Per-category pixel counts, index n-1 holding the count for category n."""
-    vals = mask.category_values().ravel()
-    L = mask.num_categories
-    return np.bincount(vals, minlength=L + 1)[1 : L + 1].astype(np.int64)
-
-
-def normalize_pixel_counts(counts: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Counts divided by the total pixel count (void included in the total)."""
-    if height < 1 or width < 1:
-        raise ValidationError(f"invalid mask dimensions {height}x{width}")
-    counts = np.asarray(counts)
-    total = height * width
-    if (counts < 0).any() or (counts > total).any():
-        raise ValidationError("pixel counts must lie in [0, height*width]")
-    return counts / float(total)
-
-
-def compute_mean_positions(mask: SegmentationMask, counts: np.ndarray | None = None) -> np.ndarray:
-    """Per-category mean (column, row) of member pixels, 1-based; zeros when absent."""
-    if counts is None:
-        counts = compute_pixel_counts(mask)
-    vals = mask.category_values().ravel()
-    L = mask.num_categories
-    ii, jj, _, _ = _coordinate_grids(mask.height, mask.width)
-    sum_j = np.bincount(vals, weights=jj, minlength=L + 1)[1 : L + 1]
-    sum_i = np.bincount(vals, weights=ii, minlength=L + 1)[1 : L + 1]
-    present = counts > 0
-    out = np.zeros((L, 2))
-    np.divide(sum_j, counts, out=out[:, 0], where=present)
-    np.divide(sum_i, counts, out=out[:, 1], where=present)
-    return out
-
-
-def compute_std_positions(
-    mask: SegmentationMask,
-    counts: np.ndarray | None = None,
-    means: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-category population std of (column, row), via a second pass over deviations."""
-    if counts is None:
-        counts = compute_pixel_counts(mask)
-    if means is None:
-        means = compute_mean_positions(mask, counts)
-    vals = mask.category_values().ravel()
-    L = mask.num_categories
-    ii, jj, _, _ = _coordinate_grids(mask.height, mask.width)
-    # Deviation of each pixel from its own category's mean; void (bin 0) is
-    # sliced off, so its bogus deviations never contribute.
-    mean_j = np.concatenate(([0.0], means[:, 0]))[vals]
-    mean_i = np.concatenate(([0.0], means[:, 1]))[vals]
-    dev_j2 = np.bincount(vals, weights=(jj - mean_j) ** 2, minlength=L + 1)[1 : L + 1]
-    dev_i2 = np.bincount(vals, weights=(ii - mean_i) ** 2, minlength=L + 1)[1 : L + 1]
-    present = counts > 0
-    out = np.zeros((L, 2))
-    np.divide(dev_j2, counts, out=out[:, 0], where=present)
-    np.divide(dev_i2, counts, out=out[:, 1], where=present)
-    return np.sqrt(out)
-
-
-def normalize_positions(pairs: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Scale (x, y) pairs by 1/width and 1/height respectively."""
-    if height < 1 or width < 1:
-        raise ValidationError(f"invalid mask dimensions {height}x{width}")
-    pairs = np.asarray(pairs, dtype=np.float64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError(f"expected an (L, 2) array of pairs, got shape {pairs.shape}")
-    return pairs / np.array([float(width), float(height)])
-
-
 def extract_ssf(mask: SegmentationMask) -> SsfMatrix:
-    """Extract the full L x 5 feature matrix in a single pass over the pixels.
+    """Extract the full L x 5 feature matrix from two small histograms.
 
-    One traversal accumulates, per category, the pixel count and the sums of
-    column, row, column^2 and row^2. Standard deviations come out of the
-    sum-of-squares identity sigma^2 = E[v^2] - E[v]^2, whose radicand is
-    clamped to zero when cancellation leaves it a few ulps negative.
+    Each pixel's position enters the statistics only through its row or its
+    column, so one unweighted bincount gives the (h, L+1) category-by-row
+    histogram and a second the (w, L+1) category-by-column histogram. Counts,
+    means and the two-pass variance sum((pos - mean)^2) / count are then
+    computed over the h and w bins of each category present instead of the
+    h*w pixels.
     """
     h, w, L = mask.height, mask.width, mask.num_categories
-    vals = mask.category_values().ravel()
-    ii, jj, ii2, jj2 = _coordinate_grids(h, w)
+    vals = mask.category_values()
+    span = L + 1  # bin 0 collects void pixels and is dropped
+    # vals already lies in 0..L, so the unsafe cast cannot change a value.
+    index = np.empty((h, w), dtype=np.intp)
+    np.add(vals, np.arange(0, h * span, span)[:, None], out=index, casting="unsafe")
+    by_row = np.bincount(index.ravel(), minlength=h * span).reshape(h, span)
+    np.add(vals, np.arange(0, w * span, span), out=index, casting="unsafe")
+    by_col = np.bincount(index.ravel(), minlength=w * span).reshape(w, span)
 
-    span = L + 1  # bin 0 collects void pixels and is sliced away
-    counts = np.bincount(vals, minlength=span)[1:span]
-    sum_j = np.bincount(vals, weights=jj, minlength=span)[1:span]
-    sum_i = np.bincount(vals, weights=ii, minlength=span)[1:span]
-    sum_j2 = np.bincount(vals, weights=jj2, minlength=span)[1:span]
-    sum_i2 = np.bincount(vals, weights=ii2, minlength=span)[1:span]
-
-    present = counts > 0
-    mu_x = np.zeros(L)
-    mu_y = np.zeros(L)
-    np.divide(sum_j, counts, out=mu_x, where=present)
-    np.divide(sum_i, counts, out=mu_y, where=present)
-
-    var_x = np.zeros(L)
-    var_y = np.zeros(L)
-    np.divide(sum_j2, counts, out=var_x, where=present)
-    np.divide(sum_i2, counts, out=var_y, where=present)
-    var_x -= mu_x * mu_x
-    var_y -= mu_y * mu_y
-    lowest = min(var_x.min(), var_y.min()) if L else 0.0
-    if lowest < _NEG_RADICAND_TOL:
-        raise ArithmeticError(f"variance radicand {lowest} below clamp threshold {_NEG_RADICAND_TOL}")
-    np.maximum(var_x, 0.0, out=var_x)
-    np.maximum(var_y, 0.0, out=var_y)
-
-    values = np.empty((L, len(COLUMNS)))
+    counts = by_row[:, 1:].sum(axis=0)
+    present = np.flatnonzero(counts)
+    n = counts[present]
+    values = np.zeros((L, len(COLUMNS)))
     values[:, 0] = counts / float(h * w)
-    values[:, 1] = mu_x / w
-    values[:, 2] = mu_y / h
-    values[:, 3] = np.sqrt(var_x) / w
-    values[:, 4] = np.sqrt(var_y) / h
+    for col, hist, side in ((1, by_col, w), (2, by_row, h)):
+        hist = hist[:, present + 1]  # absent categories keep all-zero rows
+        pos = np.arange(1.0, side + 1.0)
+        mean = pos @ hist / n
+        var = (hist * (pos[:, None] - mean) ** 2).sum(axis=0) / n
+        values[present, col] = mean / side
+        values[present, col + 2] = np.sqrt(var) / side
     return SsfMatrix(values=values, raw_counts=counts, num_categories=L)
 
 

@@ -5,8 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Upper bound on mask side length. Keeps every accumulator used during
-# feature extraction inside the exactly-representable integer range of f64.
+# Upper bound on mask side length. Feature extraction sums count * position
+# over a category's histogram bins; those sums stay at most h*w*max(h, w),
+# which is 2**42 at 16384 x 16384, so they are exact in f64. The one per-pixel
+# buffer extraction allocates, an intp index, takes 8*h*w bytes: 2 GiB at
+# 16384 x 16384.
 MAX_SIDE = 16384
 
 

@@ -2,7 +2,8 @@
 
 The feature oracle walks the pixels with plain Python loops and computes
 the standard deviation in a second pass around the mean, deliberately
-avoiding the vectorized single-pass route the package takes. The gradient
+sharing no code with the package's route through category-by-row and
+category-by-column histograms. The gradient
 helpers measure central finite differences of a scalar objective.
 """
 from __future__ import annotations

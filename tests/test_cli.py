@@ -57,6 +57,19 @@ class TestExitCodes:
                    "--checkpoint", str(tmp_path / "none.ssfc")])
         assert rc == 1
 
+    @pytest.mark.parametrize("header,field", [
+        ({"num_categories": 3}, "num_classes"),
+        ({"num_classes": 2, "num_categories": "3"}, "num_categories"),
+        ({"num_classes": 2, "num_categories": 0}, "num_categories"),
+    ], ids=["no-num-classes", "string-categories", "zero-categories"])
+    def test_bad_manifest_header_is_one_line_data_error(self, tmp_path, capsys, header, field):
+        path = tmp_path / "dataset.manifest"
+        path.write_text(json.dumps({"kind": "ssfx-manifest", "version": 1, **header}) + "\n")
+        rc = main(["train", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err
+
     def test_help_exits_zero_and_names_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["train", "--help"])

@@ -137,6 +137,34 @@ class TestManifestValidation:
         with pytest.raises(ValidationError, match="not a dataset manifest"):
             load_manifest(write_manifest_text(tmp_path, lines, header))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_classes", None, "lacks num_classes"),
+        ("num_categories", None, "lacks num_categories"),
+        ("num_classes", "2", "num_classes must be an integer, got '2'"),
+        ("num_categories", 3.0, "num_categories must be an integer, got 3.0"),
+        ("num_categories", True, "num_categories must be an integer, got True"),
+        ("num_classes", 1, "num_classes must be >= 2, got 1"),
+        ("num_categories", 0, "num_categories must be >= 1, got 0"),
+        ("num_categories", -4, "num_categories must be >= 1, got -4"),
+    ])
+    def test_bad_header_field_named(self, tmp_path, field, value, message):
+        rel = place_mask(tmp_path)
+        lines = [json.dumps({"id": "a", "mask": rel, "global": None, "label": 0, "split": "train"})]
+        header = {"kind": "ssfx-manifest", "version": 1, "num_classes": 2,
+                  "num_categories": 3, "void_value": 0}
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        with pytest.raises(ValidationError, match=message):
+            load_manifest(write_manifest_text(tmp_path, lines, header))
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "dataset.manifest"
+        path.write_text('["ssfx-manifest", 1]\n')
+        with pytest.raises(ValidationError, match="header must be a JSON object"):
+            load_manifest(path)
+
     def test_missing_manifest_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "absent.manifest")

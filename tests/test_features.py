@@ -5,17 +5,8 @@ import numpy as np
 import pytest
 
 from ssfx import SegmentationMask, ValidationError
-from ssfx.features import (
-    COLUMNS,
-    FeatureSubset,
-    compute_mean_positions,
-    compute_pixel_counts,
-    compute_std_positions,
-    extract_ssf,
-    normalize_pixel_counts,
-    normalize_positions,
-    select_subset,
-)
+from ssfx.features import COLUMNS, FeatureSubset, extract_ssf, select_subset
+from ssfx.mask import MAX_SIDE
 
 from oracles import naive_ssf, random_mask_grid
 
@@ -28,26 +19,31 @@ def mask_of(rows, L, void=0):
 class TestFrozenExamples:
     def test_two_by_two_counts(self):
         m = mask_of([[1, 1], [2, 1]], L=2)
-        assert compute_pixel_counts(m).tolist() == [3, 1]
+        assert extract_ssf(m).raw_counts.tolist() == [3, 1]
 
     def test_two_by_two_normalized_counts(self):
         m = mask_of([[1, 1], [2, 1]], L=2)
-        pc = normalize_pixel_counts(compute_pixel_counts(m), 2, 2)
-        assert pc.tolist() == [0.75, 0.25]
+        assert extract_ssf(m).pc.tolist() == [0.75, 0.25]
 
     def test_two_by_two_means(self):
         m = mask_of([[1, 1], [2, 1]], L=2)
-        means = compute_mean_positions(m)
+        out = extract_ssf(m)
         # category 2 occupies the single pixel at column 1, row 2
-        assert means[1].tolist() == [1.0, 2.0]
-        assert means[0] == pytest.approx([5 / 3, 4 / 3])
+        assert [out.mu_x[1], out.mu_y[1]] == [0.5, 1.0]
+        np.testing.assert_allclose([out.mu_x[0], out.mu_y[0]], [5 / 6, 2 / 3], rtol=0, atol=1e-9)
 
     def test_two_by_two_stds(self):
         m = mask_of([[1, 1], [2, 1]], L=2)
-        stds = compute_std_positions(m)
-        expected = math.sqrt(2.0 / 9.0)
-        assert stds[0] == pytest.approx([expected, expected])
-        assert stds[1].tolist() == [0.0, 0.0]
+        out = extract_ssf(m)
+        expected = math.sqrt(2.0 / 9.0) / 2.0
+        np.testing.assert_allclose([out.sigma_x[0], out.sigma_y[0]], [expected, expected],
+                                   rtol=0, atol=1e-9)
+        assert [out.sigma_x[1], out.sigma_y[1]] == [0.0, 0.0]
+
+    def test_one_pixel_mask_closed_form(self):
+        out = extract_ssf(mask_of([[1]], L=2))
+        assert out.values.tolist() == [[1.0, 1.0, 1.0, 0.0, 0.0], [0.0] * 5]
+        assert out.raw_counts.tolist() == [1, 0]
 
     def test_two_by_two_full_matrix(self):
         m = mask_of([[1, 1], [2, 1]], L=2)
@@ -94,22 +90,47 @@ class TestOracleAgreement:
             expected = naive_ssf(grid, L, void_value=0)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
-    def test_single_pass_matches_multi_pass_composition(self):
+    def test_matches_naive_loops_on_larger_masks(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             L = int(rng.integers(1, 9))
             h = int(rng.integers(2, 50))
             w = int(rng.integers(2, 50))
-            m = mask_of(random_mask_grid(rng, L, h, w, 0.2), L)
-            counts = compute_pixel_counts(m)
-            means = compute_mean_positions(m, counts)
-            stds = compute_std_positions(m, counts, means)
-            composed = np.column_stack([
-                normalize_pixel_counts(counts, h, w),
-                normalize_positions(means, h, w),
-                normalize_positions(stds, h, w),
-            ])
-            np.testing.assert_allclose(extract_ssf(m).values, composed, rtol=0, atol=1e-9)
+            grid = random_mask_grid(rng, L, h, w, 0.2)
+            got = extract_ssf(mask_of(grid, L)).values
+            np.testing.assert_allclose(got, naive_ssf(grid, L, void_value=0), rtol=0, atol=1e-9)
+
+    def test_pc_counts_void_in_the_area(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            L = int(rng.integers(1, 9))
+            h = int(rng.integers(1, 30))
+            w = int(rng.integers(1, 30))
+            grid = random_mask_grid(rng, L, h, w, float(rng.uniform(0, 0.6)))
+            out = extract_ssf(mask_of(grid, L))
+            assert int(out.raw_counts.sum()) == np.count_nonzero(grid)
+            np.testing.assert_allclose(out.pc, naive_ssf(grid, L, void_value=0)[:, 0],
+                                       rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, MAX_SIDE), (MAX_SIDE, 1)], ids=["row", "column"])
+    def test_matches_naive_loops_at_max_side(self, shape):
+        rng = np.random.default_rng(13)
+        grid = random_mask_grid(rng, 6, *shape, void_fraction=0.2)
+        got = extract_ssf(mask_of(grid, 6)).values
+        np.testing.assert_allclose(got, naive_ssf(grid, 6, void_value=0), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_narrow_category_far_from_origin(self, width):
+        # The last `width` columns of a 1 x MAX_SIDE mask: sigma_x is
+        # sqrt((width^2 - 1) / 12) pixels, tiny beside mean positions near
+        # MAX_SIDE, so a route through E[x^2] - E[x]^2 loses about half its digits.
+        grid = np.zeros((1, MAX_SIDE), dtype=np.uint16)
+        grid[0, -width:] = 1
+        out = extract_ssf(mask_of(grid, 1)).values[0]
+        assert out[1] == (MAX_SIDE - (width - 1) / 2) / MAX_SIDE
+        np.testing.assert_allclose(out[3], math.sqrt((width**2 - 1) / 12.0) / MAX_SIDE,
+                                   rtol=1e-15, atol=0)
+        assert out[4] == 0.0
 
     def test_nonzero_void_value_matches_default(self):
         rng = np.random.default_rng(3)
@@ -205,14 +226,6 @@ class TestValidation:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             SegmentationMask(data=np.ones((0, 4), dtype=np.uint8), num_categories=1)
-
-    def test_normalize_counts_rejects_zero_area(self):
-        with pytest.raises(ValidationError, match="invalid mask dimensions"):
-            normalize_pixel_counts(np.array([1]), 0, 5)
-
-    def test_normalize_counts_rejects_impossible_count(self):
-        with pytest.raises(ValidationError, match="must lie in"):
-            normalize_pixel_counts(np.array([5]), 2, 2)
 
 
 class TestSubset:
