@@ -122,6 +122,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ValidationError(f"{path}: unsupported manifest version {header.get('version')}")
     num_classes = _header_int(path, header, "num_classes", 2)
     num_categories = _header_int(path, header, "num_categories", 1)
+    void_value = header.get("void_value")
+    if void_value is not None and (isinstance(void_value, bool) or not isinstance(void_value, int)):
+        raise ValidationError(f"{path}: void_value must be an integer or null, got {void_value!r}")
 
     root = path.parent
     entries: list[ManifestEntry] = []
@@ -132,6 +135,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             rec = json.loads(ln)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{lineno}: unreadable entry: {exc}") from None
+        if not isinstance(rec, dict):
+            raise ValidationError(f"{path}:{lineno}: entry must be a JSON object")
         eid = rec.get("id")
         if not isinstance(eid, str) or not eid:
             raise ValidationError(f"{path}:{lineno}: entry id must be a non-empty string")
@@ -161,7 +166,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not entries:
         raise ValidationError(f"{path}: manifest has no entries")
     return DatasetManifest(num_classes=num_classes, num_categories=num_categories,
-                           void_value=header.get("void_value"), entries=entries,
+                           void_value=void_value, entries=entries,
                            root=root, global_source=header.get("global_source"))
 
 

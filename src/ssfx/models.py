@@ -240,7 +240,7 @@ class _ModelBase:
             if arr.shape != own[name].data.shape:
                 raise CheckpointError(f"parameter {name!r} has shape {arr.shape}, "
                                       f"expected {own[name].data.shape}")
-            own[name].data = arr.astype(np.float64, copy=True)
+            own[name].data = np.array(arr, dtype=np.float64, order="C")
 
 
 def _prepare_semantic(ssf: np.ndarray, subset: FeatureSubset, head_kind: str,
@@ -445,7 +445,7 @@ def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSu
             if base.params[key].shape != tensor.data.shape:
                 raise CheckpointError(f"step-1 block {key!r} has shape {base.params[key].shape}, "
                                       f"expected {tensor.data.shape}")
-            tensor.data = base.params[key].astype(np.float64, copy=True)
+            tensor.data = np.array(base.params[key], dtype=np.float64, order="C")
     return model
 
 
@@ -551,12 +551,16 @@ def train(plan: TrainPlan, data: LoadedDataset, model) -> tuple[Checkpoint, list
     for epoch in range(plan.epochs):
         epoch_loss = 0.0
         correct = 0
-        for sel in shuffled_batches(data.train_idx, plan.batch_size, plan.seed, epoch):
+        for batch, sel in enumerate(shuffled_batches(data.train_idx, plan.batch_size,
+                                                     plan.seed, epoch)):
             ssf = data.ssf[sel]
             g = None if data.global_vecs is None else data.global_vecs[sel]
             labels = data.labels[sel]
             logits = model.forward(ssf, g)
             loss, grad = softmax_cross_entropy(logits, labels)
+            if not np.isfinite(loss):
+                raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
+                                      f"batch {batch}")
             model.backward(grad)
             opt.step()
             model.zero_grad()

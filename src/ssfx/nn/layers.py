@@ -1,7 +1,12 @@
 """Network layers with explicit forward/backward passes.
 
-Convolutions are cross-correlations with zero padding, computed over
-windows built with ``sliding_window_view`` and contracted with einsum.
+Convolutions are cross-correlations with zero padding, computed as GEMMs
+over an im2col matrix (Chellapilla et al., 2006): forward copies every
+receptive window of a channels-last padded input into one row of a
+``(B*Ho*Wo, C*kh*kw)`` matrix, multiplies it by the flattened kernel once,
+and keeps the matrix for backward. Backward gets the weight gradient as one
+GEMM with that matrix and the input gradient as one GEMM per kernel tap,
+scatter-added into a padded buffer. ``Conv1D`` is a height-1 ``Conv2D``.
 Every layer caches what its backward pass needs during forward; calling
 backward without a cached forward is a usage error.
 """
@@ -66,6 +71,8 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 class Conv2D:
     """2-D cross-correlation over (batch, channels, height, width) inputs."""
 
+    kind = "conv2d"
+
     def __init__(
         self,
         in_channels: int,
@@ -76,15 +83,25 @@ class Conv2D:
         *,
         rng: np.random.Generator | None = None,
     ) -> None:
-        self.spec = LayerSpec("conv2d", in_channels, out_channels, kernel_size, stride, padding)
-        fan_in = in_channels * kernel_size * kernel_size
+        self.spec = LayerSpec(self.kind, in_channels, out_channels, kernel_size, stride, padding)
+        kh, kw, _, _ = self._geometry()
+        shape = self._weight_shape()
         if rng is None:
-            weight = np.zeros((out_channels, in_channels, kernel_size, kernel_size))
+            weight = np.zeros(shape)
         else:
-            weight = he_uniform(rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in)
+            weight = he_uniform(rng, shape, in_channels * kh * kw)
         self.weight = Tensor(weight)
         self.bias = Tensor(np.zeros(out_channels))
         self._cache = None
+
+    def _geometry(self) -> tuple[int, int, int, int]:
+        """Kernel height and width, then zero padding along height and width."""
+        s = self.spec
+        return s.kernel_size, s.kernel_size, s.padding, s.padding
+
+    def _weight_shape(self) -> tuple[int, ...]:
+        s = self.spec
+        return (s.out_channels, s.in_channels, s.kernel_size, s.kernel_size)
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -100,41 +117,58 @@ class Conv2D:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"conv2d input must be 4-D, got shape {x.shape}")
-        _, _, h_out, w_out = self.out_shape(x.shape)
-        s = self.spec
-        p, k, st = s.padding, s.kernel_size, s.stride
-        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-        windows = windows[:, :, ::st, ::st][:, :, :h_out, :w_out]
-        out = np.einsum("bcxyij,ocij->boxy", windows, self.weight.data, optimize=True)
-        out += self.bias.data[None, :, None, None]
-        self._cache = (x.shape, padded.shape, windows)
-        return out
+        self.out_shape(x.shape)
+        return self._forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("conv2d backward called before forward")
-        x_shape, padded_shape, windows = self._cache
-        s = self.spec
-        p, k, st = s.padding, s.kernel_size, s.stride
-        h_out, w_out = grad_out.shape[2], grad_out.shape[3]
+            raise RuntimeError(f"{self.kind} backward called before forward")
+        return self._backward(grad_out)
 
-        self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
-        self.weight.add_grad(np.einsum("bcxyij,boxy->ocij", windows, grad_out, optimize=True))
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        kh, kw, ph, pw = self._geometry()
+        w4 = self.weight.data.reshape(self.spec.out_channels, self.spec.in_channels, kh, kw)
+        o, c = w4.shape[:2]
+        st = self.spec.stride
+        b, _, h, w = x.shape
+        ho = conv_output_size(h, kh, st, ph)
+        wo = conv_output_size(w, kw, st, pw)
+        # Channels-last padded input; its windows flattened in (i, j, c)
+        # order are the rows of the column matrix.
+        padded = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+        padded[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+        windows = windows[:, ::st, ::st][:, :ho, :wo]            # (b, ho, wo, c, kh, kw)
+        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * c)
+        out = cols @ w4.transpose(0, 2, 3, 1).reshape(o, kh * kw * c).T
+        out += self.bias.data
+        self._cache = (x.shape, cols)
+        return out.reshape(b, ho, wo, o).transpose(0, 3, 1, 2)
 
-        grad_padded = np.zeros(padded_shape)
-        w = self.weight.data
-        for ki in range(k):
-            for kj in range(k):
-                # (B, Hout, Wout, Cin) contribution of kernel tap (ki, kj)
-                contrib = np.tensordot(grad_out, w[:, :, ki, kj], axes=([1], [0]))
-                grad_padded[:, :, ki : ki + st * h_out : st, kj : kj + st * w_out : st] += (
-                    contrib.transpose(0, 3, 1, 2)
-                )
-        h, w_in = x_shape[2], x_shape[3]
-        grad_in = grad_padded[:, :, p : p + h, p : p + w_in]
+    def _backward(self, grad_out: np.ndarray) -> np.ndarray:
+        x_shape, cols = self._cache
+        kh, kw, ph, pw = self._geometry()
+        w4 = self.weight.data.reshape(self.spec.out_channels, self.spec.in_channels, kh, kw)
+        o, c = w4.shape[:2]
+        st = self.spec.stride
+        b, _, h, w = x_shape
+        ho, wo = grad_out.shape[2], grad_out.shape[3]
+        g = grad_out.transpose(0, 2, 3, 1).reshape(b * ho * wo, o)
+
+        self.bias.add_grad(g.sum(axis=0))
+        grad_w = (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+        self.weight.add_grad(np.ascontiguousarray(grad_w).reshape(self.weight.shape))
+
+        # Input gradient: one GEMM per kernel tap, scatter-added into a
+        # channels-last padded buffer.
+        taps = np.ascontiguousarray(w4.transpose(2, 3, 0, 1))   # (kh, kw, out, in)
+        grad_padded = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+        for i in range(kh):
+            for j in range(kw):
+                grad_padded[:, i : i + st * ho : st, j : j + st * wo : st, :] += (
+                    (g @ taps[i, j]).reshape(b, ho, wo, c))
         self._cache = None
-        return grad_in
+        return grad_padded[:, ph : ph + h, pw : pw + w, :].transpose(0, 3, 1, 2)
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
@@ -143,31 +177,21 @@ class Conv2D:
         return flops, out_shape
 
 
-class Conv1D:
-    """1-D cross-correlation over (batch, channels, length) inputs."""
+class Conv1D(Conv2D):
+    """1-D cross-correlation over (batch, channels, length) inputs.
 
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int = 3,
-        stride: int = 1,
-        padding: int = 1,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        self.spec = LayerSpec("conv1d", in_channels, out_channels, kernel_size, stride, padding)
-        fan_in = in_channels * kernel_size
-        if rng is None:
-            weight = np.zeros((out_channels, in_channels, kernel_size))
-        else:
-            weight = he_uniform(rng, (out_channels, in_channels, kernel_size), fan_in)
-        self.weight = Tensor(weight)
-        self.bias = Tensor(np.zeros(out_channels))
-        self._cache = None
+    Runs as a height-1 ``Conv2D`` with a 1 x k kernel; the weight keeps its
+    (out, in, k) shape.
+    """
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)]
+    kind = "conv1d"
+
+    def _geometry(self) -> tuple[int, int, int, int]:
+        return 1, self.spec.kernel_size, 0, self.spec.padding
+
+    def _weight_shape(self) -> tuple[int, ...]:
+        s = self.spec
+        return (s.out_channels, s.in_channels, s.kernel_size)
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         b, c, n = in_shape
@@ -179,36 +203,13 @@ class Conv1D:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv1d input must be 3-D, got shape {x.shape}")
-        _, _, n_out = self.out_shape(x.shape)
-        s = self.spec
-        p, k, st = s.padding, s.kernel_size, s.stride
-        padded = np.pad(x, ((0, 0), (0, 0), (p, p)))
-        windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=2)
-        windows = windows[:, :, ::st][:, :, :n_out]
-        out = np.einsum("bcnk,ock->bon", windows, self.weight.data, optimize=True)
-        out += self.bias.data[None, :, None]
-        self._cache = (x.shape, padded.shape, windows)
-        return out
+        self.out_shape(x.shape)
+        return self._forward(x[:, :, None, :])[:, :, 0, :]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("conv1d backward called before forward")
-        x_shape, padded_shape, windows = self._cache
-        s = self.spec
-        p, k, st = s.padding, s.kernel_size, s.stride
-        n_out = grad_out.shape[2]
-
-        self.bias.add_grad(grad_out.sum(axis=(0, 2)))
-        self.weight.add_grad(np.einsum("bcnk,bon->ock", windows, grad_out, optimize=True))
-
-        grad_padded = np.zeros(padded_shape)
-        w = self.weight.data
-        for ki in range(k):
-            contrib = np.tensordot(grad_out, w[:, :, ki], axes=([1], [0]))  # (B, Nout, Cin)
-            grad_padded[:, :, ki : ki + st * n_out : st] += contrib.transpose(0, 2, 1)
-        grad_in = grad_padded[:, :, p : p + x_shape[2]]
-        self._cache = None
-        return grad_in
+            raise RuntimeError(f"{self.kind} backward called before forward")
+        return self._backward(grad_out[:, :, None, :])[:, :, 0, :]
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)

@@ -6,6 +6,12 @@ moment-based update, so it never leaks into the running moments:
     m_t = b1 * m_{t-1} + (1 - b1) * g
     v_t = b2 * v_{t-1} + (1 - b2) * g^2
     p  -= lr * (m_t / (1 - b1^t)) / (sqrt(v_t / (1 - b2^t)) + eps)
+
+The update walks each parameter in blocks of ``BLOCK`` elements and does
+every operation in place or in two block-sized scratch arrays, so a step
+allocates nothing in proportion to the parameter count. Each element still
+goes through the same IEEE operations in the same order as the full-array
+formula above, so the result is bit-identical to it.
 """
 from __future__ import annotations
 
@@ -13,6 +19,11 @@ import numpy as np
 
 from ..mask import ValidationError
 from .tensor import Tensor
+
+# Elements per block: 32768 f64 is 256 KiB per array, so a block of the
+# parameter, gradient, both moments and both scratch arrays stays in cache
+# across the dozen passes the update makes over it.
+BLOCK = 32768
 
 
 class Adam:
@@ -29,6 +40,10 @@ class Adam:
             raise ValidationError(f"learning rate must be positive, got {learning_rate}")
         if weight_decay < 0:
             raise ValidationError(f"weight decay must be non-negative, got {weight_decay}")
+        if learning_rate * weight_decay >= 1:
+            raise ValidationError(
+                f"learning rate x weight decay must be below 1, got {learning_rate} x "
+                f"{weight_decay}: the decay shrink factor would be zero or negative")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValidationError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.params = list(params)
@@ -38,8 +53,10 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = [np.zeros_like(t.data) for _, t in self.params]
-        self._v = [np.zeros_like(t.data) for _, t in self.params]
+        self._m = [np.zeros(t.data.size) for _, t in self.params]
+        self._v = [np.zeros(t.data.size) for _, t in self.params]
+        largest = max((t.data.size for _, t in self.params), default=0)
+        self._scratch = (np.empty(min(BLOCK, largest)), np.empty(min(BLOCK, largest)))
 
     def step(self) -> None:
         """Apply one update using each parameter's accumulated gradient."""
@@ -47,19 +64,51 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        shrink = 1.0 - self.lr * self.weight_decay
         for (name, p), m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            self._update(_flat(name, p.data), None if g is None else _flat(name, g), m, v,
+                         bc1, bc2)
+
+    def _update(self, p: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray,
+                bc1: float, bc2: float) -> None:
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        shrink = 1.0 - lr * self.weight_decay
+        s1, s2 = self._scratch
+        for lo in range(0, p.size, BLOCK):
+            hi = min(lo + BLOCK, p.size)
+            pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = s1[: hi - lo], s2[: hi - lo]
             if self.weight_decay:
-                p.data *= shrink
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                pb *= shrink
+            mb *= b1
+            vb *= b2
+            if g is None:
+                # what (1 - b) * 0 adds; it also turns a -0.0 moment into +0.0
+                mb += 0.0
+                vb += 0.0
+            else:
+                gb = g[lo:hi]
+                np.multiply(gb, 1.0 - b1, out=a)
+                mb += a
+                np.multiply(gb, gb, out=a)
+                a *= 1.0 - b2
+                vb += a
+            np.divide(mb, bc1, out=a)
+            a *= lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pb -= a
 
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.zero_grad()
+
+
+def _flat(name: str, arr: np.ndarray) -> np.ndarray:
+    """A 1-D view of ``arr``; refuses arrays whose flat form would be a copy."""
+    if not arr.flags.c_contiguous:
+        raise ValidationError(f"parameter {name!r}: Adam updates C-contiguous arrays in "
+                              f"place, got a non-contiguous array of shape {arr.shape}")
+    return arr.reshape(-1)

@@ -12,7 +12,7 @@ class Tensor:
     __slots__ = ("data", "grad")
 
     def __init__(self, data) -> None:
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64, order="C")
         if arr.ndim > 4:
             raise ValidationError(f"tensors are limited to 4 dimensions, got {arr.ndim}")
         self.data = arr
@@ -27,11 +27,17 @@ class Tensor:
         return self.data.size
 
     def add_grad(self, g: np.ndarray) -> None:
-        """Accumulate into the gradient slot, allocating it on first use."""
+        """Accumulate ``g`` into the gradient slot.
+
+        On first use the slot takes ``g`` itself, without a copy, when it is a
+        C-contiguous float64 array; later calls add into it in place. The
+        caller gives ``g`` up: it must hand over a fresh array and must not
+        read or write it afterwards.
+        """
         if g.shape != self.data.shape:
             raise ValidationError(f"gradient shape {g.shape} does not match parameter shape {self.data.shape}")
         if self.grad is None:
-            self.grad = g.astype(np.float64, copy=True)
+            self.grad = np.require(g, np.float64, ("C", "W"))
         else:
             self.grad += g
 

@@ -3,8 +3,10 @@
 The feature oracle walks the pixels with plain Python loops and computes
 the standard deviation in a second pass around the mean, deliberately
 sharing no code with the package's route through category-by-row and
-category-by-column histograms. The gradient
-helpers measure central finite differences of a scalar objective.
+category-by-column histograms. The convolution oracle loops over output
+positions and kernel taps, sharing no code with the package's im2col GEMMs.
+The gradient helpers measure central finite differences of a scalar
+objective.
 """
 from __future__ import annotations
 
@@ -89,3 +91,35 @@ def random_mask_grid(rng: np.random.Generator, num_categories: int,
     if void_fraction > 0:
         grid[rng.random((height, width)) < void_fraction] = 0
     return grid.astype(np.uint16)
+
+
+def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
+               pad_h: int, pad_w: int, grad_out: np.ndarray | None = None):
+    """Loop cross-correlation of (B, C, H, W) input with an (O, C, kh, kw) kernel.
+
+    Returns the output, or with ``grad_out`` the gradients of
+    ``sum(output * grad_out)`` with respect to the input, kernel and bias.
+    """
+    bsz, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.zeros((bsz, c, h + 2 * pad_h, wd + 2 * pad_w))
+    xp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd] = x
+    ho = (h + 2 * pad_h - kh) // stride + 1
+    wo = (wd + 2 * pad_w - kw) // stride + 1
+    out = np.zeros((bsz, o, ho, wo))
+    grad_xp, grad_w = np.zeros_like(xp), np.zeros_like(w)
+    for n in range(bsz):
+        for y in range(ho):
+            for z in range(wo):
+                window = xp[n, :, y * stride : y * stride + kh, z * stride : z * stride + kw]
+                for k in range(o):
+                    if grad_out is None:
+                        out[n, k, y, z] = float((window * w[k]).sum()) + b[k]
+                    else:
+                        grad_w[k] += grad_out[n, k, y, z] * window
+                        grad_xp[n, :, y * stride : y * stride + kh,
+                                z * stride : z * stride + kw] += grad_out[n, k, y, z] * w[k]
+    if grad_out is None:
+        return out
+    grad_x = grad_xp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd]
+    return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))

@@ -61,7 +61,10 @@ class TestExitCodes:
         ({"num_categories": 3}, "num_classes"),
         ({"num_classes": 2, "num_categories": "3"}, "num_categories"),
         ({"num_classes": 2, "num_categories": 0}, "num_categories"),
-    ], ids=["no-num-classes", "string-categories", "zero-categories"])
+        ({"num_classes": 2, "num_categories": 3, "void_value": "x"}, "void_value"),
+        ({"num_classes": 2, "num_categories": 3, "void_value": False}, "void_value"),
+    ], ids=["no-num-classes", "string-categories", "zero-categories", "string-void",
+            "bool-void"])
     def test_bad_manifest_header_is_one_line_data_error(self, tmp_path, capsys, header, field):
         path = tmp_path / "dataset.manifest"
         path.write_text(json.dumps({"kind": "ssfx-manifest", "version": 1, **header}) + "\n")
@@ -69,6 +72,29 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err
+
+    def test_manifest_entry_not_an_object_is_one_line_data_error(self, synth_dir, tmp_path,
+                                                                 capsys):
+        broken_dir = tmp_path / "broken_set"
+        shutil.copytree(synth_dir, broken_dir)
+        lines = (broken_dir / "dataset.manifest").read_text().splitlines()
+        path = broken_dir / "broken.manifest"
+        path.write_text("\n".join(lines[:2] + ["[1, 2]"]) + "\n")
+        rc = main(["extract", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "broken.manifest:3: entry must be a JSON object" in err
+
+    def test_learning_rate_times_decay_at_one_exits_1_without_checkpoint(self, synth_dir,
+                                                                        tmp_path, capsys):
+        run = tmp_path / "run"
+        rc = main(["train", "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--head", "nn", "--epochs", "1", "--lr", "1e9", "--out", str(run)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "shrink" in err
+        assert not (run / "model.ssfc").exists()
 
     def test_help_exits_zero_and_names_flags(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -146,6 +146,9 @@ class TestManifestValidation:
         ("num_classes", 1, "num_classes must be >= 2, got 1"),
         ("num_categories", 0, "num_categories must be >= 1, got 0"),
         ("num_categories", -4, "num_categories must be >= 1, got -4"),
+        ("void_value", "x", "void_value must be an integer or null, got 'x'"),
+        ("void_value", 1.5, "void_value must be an integer or null, got 1.5"),
+        ("void_value", True, "void_value must be an integer or null, got True"),
     ])
     def test_bad_header_field_named(self, tmp_path, field, value, message):
         rel = place_mask(tmp_path)
@@ -158,6 +161,22 @@ class TestManifestValidation:
             header[field] = value
         with pytest.raises(ValidationError, match=message):
             load_manifest(write_manifest_text(tmp_path, lines, header))
+
+    @pytest.mark.parametrize("value", [None, 0, 255])
+    def test_void_value_int_or_null_accepted(self, tmp_path, value):
+        rel = place_mask(tmp_path)
+        lines = [json.dumps({"id": "a", "mask": rel, "global": None, "label": 0, "split": "train"})]
+        header = {"kind": "ssfx-manifest", "version": 1, "num_classes": 2,
+                  "num_categories": 3, "void_value": value}
+        assert load_manifest(write_manifest_text(tmp_path, lines, header)).void_value == value
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"entry"', "7", "null"])
+    def test_entry_not_an_object_names_the_line(self, tmp_path, line):
+        rel = place_mask(tmp_path)
+        lines = [json.dumps({"id": "a", "mask": rel, "global": None, "label": 0, "split": "train"}),
+                 line]
+        with pytest.raises(ValidationError, match=r"dataset.manifest:3: entry must be a JSON object"):
+            load_manifest(write_manifest_text(tmp_path, lines))
 
     def test_header_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "dataset.manifest"

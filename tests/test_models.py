@@ -257,6 +257,15 @@ class TestTrainingLoop:
 
         assert run() == run()
 
+    def test_non_finite_loss_stops_training_naming_epoch_and_batch(self):
+        data = toy_dataset()
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        # One Adam step at this rate makes the second batch's logits overflow.
+        with np.errstate(all="ignore"), pytest.raises(
+                ArithmeticError, match="loss nan at epoch 0, batch 1"):
+            train(self.plan(learning_rate=1e200), data, model)
+
     def test_stage_model_mismatch_rejected(self):
         data = toy_dataset(global_width=4)
         model = build_global_classifier(FusionConfig(4, 2, global_width=8),

@@ -5,7 +5,7 @@ import pytest
 from ssfx.mask import ValidationError
 from ssfx.nn import Conv1D, Conv2D, Dense, Flatten, LayerSpec, ReLU, Sequential, ShapeError
 
-from oracles import max_rel_err, numeric_grad
+from oracles import max_rel_err, naive_conv, numeric_grad
 
 
 def scalar_objective(layer, x, probe):
@@ -158,6 +158,33 @@ def test_gradients_match_finite_differences_on_random_shapes(case):
     for _ in range(20):
         layer, x = case(rng)
         check_layer_gradients(layer, x, rng)
+
+
+@pytest.mark.parametrize("case,seed", [(random_conv2d_case, 11), (random_conv1d_case, 12)],
+                         ids=["conv2d", "conv1d"])
+def test_conv_matches_loop_oracle_on_random_shapes(case, seed):
+    # Only the summation order differs from the oracle: f64 rounding over
+    # at most C*k*k = 27 terms per output, B*Ho*Wo per weight gradient.
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        layer, x = case(rng)
+        s = layer.spec
+        w4 = layer.weight.data.reshape(s.out_channels, s.in_channels, -1, s.kernel_size)
+        pad_h = s.padding if layer.weight.data.ndim == 4 else 0
+        x4 = x if x.ndim == 4 else x[:, :, None, :]
+        layer.bias.data[:] = rng.standard_normal(s.out_channels)
+        out = layer.forward(x.copy())
+        want = naive_conv(x4, w4, layer.bias.data, s.stride, pad_h, s.padding)
+        np.testing.assert_allclose(out, want.reshape(out.shape), rtol=1e-12, atol=1e-12)
+
+        probe = rng.standard_normal(out.shape)
+        grad_x = layer.backward(probe.copy())
+        want_x, want_w, want_b = naive_conv(x4, w4, layer.bias.data, s.stride, pad_h,
+                                            s.padding, probe.reshape(want.shape))
+        np.testing.assert_allclose(grad_x, want_x.reshape(x.shape), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(layer.weight.grad, want_w.reshape(layer.weight.shape),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(layer.bias.grad, want_b, rtol=1e-12, atol=1e-12)
 
 
 def test_gradients_accumulate_across_backward_calls():

@@ -1,11 +1,15 @@
 """Loss and optimizer behavior against frozen values and scalar simulations."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ssfx.features import FeatureSubset
 from ssfx.mask import ValidationError
+from ssfx.models import build_semantic_classifier
 from ssfx.nn import Adam, Tensor, softmax, softmax_cross_entropy
+from ssfx.nn.optim import BLOCK
 
 from oracles import max_rel_err, numeric_grad
 
@@ -134,6 +138,79 @@ class TestAdam:
         with pytest.raises(ValidationError, match="betas"):
             Adam([("p", p)], learning_rate=0.1, beta1=1.0)
 
+    @pytest.mark.parametrize("lr,wd", [(0.5, 2.0), (1e9, 5e-4), (2.0, 0.75)])
+    def test_decay_shrink_at_or_below_zero_rejected(self, lr, wd):
+        p = Tensor(np.ones(3))
+        with pytest.raises(ValidationError, match="shrink factor would be zero or negative"):
+            Adam([("p", p)], learning_rate=lr, weight_decay=wd)
+
+    @staticmethod
+    def reference_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+        """The documented rule on whole arrays, one numpy expression per line."""
+        if wd:
+            p *= 1.0 - lr * wd
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+
+    @pytest.mark.parametrize("shape", [(1,), (BLOCK - 1,), (BLOCK,), (2 * BLOCK + 7,),
+                                       (16, 8, 3, 3)],
+                             ids=["1", "block-1", "block", "2block+7", "conv4d"])
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_blocked_update_is_bit_identical_to_full_array_rule(self, shape, wd):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        lr = 1e-3
+        init = rng.standard_normal(shape)
+        p = Tensor(init.copy())
+        opt = Adam([("p", p)], learning_rate=lr, weight_decay=wd)
+        ref_p, ref_m, ref_v = init.copy(), np.zeros(shape), np.zeros(shape)
+        for t in range(1, 6):
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+            if t == 3:
+                g = np.zeros(shape)  # a step without a gradient
+            else:
+                p.add_grad(g.copy())
+            opt.step()
+            p.zero_grad()
+            self.reference_step(ref_p, g, ref_m, ref_v, t, lr, wd)
+            assert p.data.tobytes() == ref_p.tobytes(), f"step {t}"
+
+    def test_step_allocates_nothing_in_proportion_to_the_parameter(self):
+        p = Tensor(np.random.default_rng(0).standard_normal(2**22))
+        opt = Adam([("p", p)], learning_rate=1e-3, weight_decay=5e-4)
+        p.add_grad(np.ones(2**22))
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"Adam.step peaked at {peak} traced bytes"
+
+    def test_fortran_ordered_load_is_still_updated_in_place(self):
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
+                                          np.random.default_rng(0), hidden=(6,))
+        arrays = model.state_arrays()
+        arrays["head.fc1.weight"] = np.asfortranarray(arrays["head.fc1.weight"])
+        model.load_arrays(arrays)
+        tensor = dict(model.parameters())["head.fc1.weight"]
+        before = tensor.data.copy()
+        storage = tensor.data
+        opt = Adam(model.parameters(), learning_rate=0.01)
+        tensor.add_grad(np.ones(tensor.shape))
+        opt.step()
+        assert tensor.data is storage
+        assert not np.array_equal(tensor.data, before)
+
+    def test_non_contiguous_parameter_is_refused(self):
+        p = Tensor(np.zeros((3, 4)))
+        opt = Adam([("p", p)], learning_rate=0.01)
+        p.data = np.asfortranarray(np.ones((3, 4)))
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            opt.step()
+
 
 class TestTensor:
     def test_rejects_more_than_four_dims(self):
@@ -148,6 +225,16 @@ class TestTensor:
         np.testing.assert_array_equal(t.grad, [2, 2, 2])
         t.zero_grad()
         assert t.grad is None
+
+    def test_first_gradient_is_taken_without_copy(self):
+        t = Tensor(np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        t.add_grad(g)
+        assert t.grad is g
+        t.zero_grad()
+        strided = np.ones((3, 2)).T
+        t.add_grad(strided)
+        assert t.grad is not strided and t.grad.flags.c_contiguous
 
     def test_grad_shape_checked(self):
         t = Tensor(np.zeros(3))
