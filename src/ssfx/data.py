@@ -37,7 +37,6 @@ __all__ = [
     "load_manifest",
     "save_manifest",
     "load_dataset",
-    "batch_iter",
     "shuffled_batches",
     "benchmark_spec",
     "split_information_spec",
@@ -230,21 +229,6 @@ def shuffled_batches(indices: np.ndarray, batch_size: int, seed: int, epoch: int
     order = rng.permutation(len(indices))
     shuffled = np.asarray(indices)[order]
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
-
-
-def batch_iter(manifest: DatasetManifest, split: str, batch_size: int = 32,
-               seed: int = 0, epoch: int = 0) -> list[np.ndarray]:
-    """Batches of entry indices for one split.
-
-    The train split reshuffles each (seed, epoch); the test split always
-    iterates in manifest order.
-    """
-    idx = manifest.split_indices(split)
-    if len(idx) == 0:
-        raise ValidationError(f"manifest has no {split!r} entries")
-    if split == "test":
-        return [idx[i : i + batch_size] for i in range(0, len(idx), batch_size)]
-    return shuffled_batches(idx, batch_size, seed, epoch)
 
 
 # --- synthetic data ---------------------------------------------------------

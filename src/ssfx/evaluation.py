@@ -9,7 +9,8 @@ import numpy as np
 from .data import LoadedDataset
 from .features import FeatureSubset
 from .mask import SegmentationMask, ValidationError
-from .models import TrainPlan, build_semantic_classifier, param_count, train
+from .models import Model, TrainPlan, build_semantic_classifier, param_count, train
+from .nn import CheckpointError
 
 __all__ = [
     "EvalReport",
@@ -126,8 +127,10 @@ def run_ablation(data: LoadedDataset, epochs: int = 60, batch_size: int = 32,
                  seed: int = 0) -> AblationGrid:
     """Train one semantic classifier per (subset, head) pair and report test accuracy.
 
-    Every cell uses the same seed and training budget. A failing cell is
-    recorded with its error message; the rest of the grid still runs.
+    Every cell uses the same seed and training budget. A cell that fails
+    with a domain error (invalid input, a bad checkpoint, a diverging run)
+    is recorded with its error message and the rest of the grid still runs;
+    any other exception is a program error and propagates.
     """
     cells: list[AblationCell] = []
     for subset in GRID_SUBSETS:
@@ -142,7 +145,7 @@ def run_ablation(data: LoadedDataset, epochs: int = 60, batch_size: int = 32,
                 train(plan, data, model)
                 report = evaluate(model, data, "test")
                 cells.append(AblationCell(subset.label(), head, report.accuracy))
-            except Exception as exc:  # keep the rest of the grid alive
+            except (ValidationError, CheckpointError, ArithmeticError) as exc:
                 cells.append(AblationCell(subset.label(), head, None, error=str(exc)))
     return AblationGrid(cells=tuple(cells))
 
@@ -171,9 +174,8 @@ class ComplexityReport:
                 f"({self.iterations} iterations after {self.warmup} warmup)")
 
 
-def measure_complexity(model, sample_ssf: np.ndarray | None = None,
-                       sample_global: np.ndarray | None = None,
-                       iterations: int = 1000, warmup: int = 100) -> ComplexityReport:
+def measure_complexity(model: Model, iterations: int = 1000,
+                       warmup: int = 100) -> ComplexityReport:
     """Analytic FLOPs/params plus measured forward throughput at batch size 1.
 
     FLOPs follow the multiply-accumulate convention (one MAC = 2 FLOPs,
@@ -185,13 +187,7 @@ def measure_complexity(model, sample_ssf: np.ndarray | None = None,
     flops = model.flop_count()
     params = param_count(model)
 
-    if sample_ssf is None and hasattr(model, "num_categories"):
-        sample_ssf = np.zeros((1, model.num_categories, 5))
-    if sample_global is None and hasattr(model, "cfg"):
-        width = getattr(model.cfg, "global_input_width", None)
-        if width:
-            sample_global = np.zeros((1, width))
-
+    sample_ssf, sample_global = model.sample_inputs()
     for _ in range(warmup):
         model.forward(sample_ssf, sample_global)
     start = time.perf_counter()

@@ -4,14 +4,20 @@ and the two-step training protocol.
 Three heads emit a fixed-width semantic feature vector from an L x k
 feature matrix: a three-layer 2-D conv stack (channels 64/128/64, kernel 3,
 stride 1, padding 1) followed by one FC layer; a plain FC stack; and a 1-D
-conv head over the count column alone. A classifier model appends one FC
-layer producing logits. The fusion model concatenates a trained global
-branch (FC over an ingested feature vector) with a semantic head,
-global-first, and classifies through two FC layers.
+conv head over the count column alone.
 
-Training runs in two steps: step 1 fits the global branch on the global
-vectors alone; step 2 loads those weights, freezes them, and trains the
-semantic head plus the fusion FC layers.
+Every model is one graph: an ordered list of named branches, each reading
+one input (``ssf``, the feature matrix, or ``global``, an ingested feature
+vector) through its own layers; a concatenation of the branch outputs,
+global-first; and a trunk of FC layers producing logits. A semantic model
+is the ``head`` branch under a ``classifier`` trunk; a global model is the
+``global_fc1`` branch under a ``classifier`` trunk; the fusion model is both
+branches under an ``fc3``/ReLU/``fc4`` trunk.
+
+Training runs in two steps: step 1 fits the global model on the global
+vectors alone; step 2 loads those weights into the fusion model's global
+branch, freezes them, and trains the semantic head plus the fusion FC
+layers. Backward skips a branch whose parameters are all frozen.
 """
 from __future__ import annotations
 
@@ -45,9 +51,9 @@ __all__ = [
     "PcConv1dConfig",
     "FusionConfig",
     "TrainPlan",
-    "SemanticClassifier",
-    "GlobalClassifier",
-    "FusionClassifier",
+    "SsfInput",
+    "Branch",
+    "Model",
     "build_ssf_cnn",
     "build_ssf_nn",
     "build_pc_conv1d_head",
@@ -71,7 +77,6 @@ STAGES = ("semantic_only", "step1_global", "step2_fusion")
 class SsfCnnConfig:
     num_categories: int
     num_columns: int = 5
-    num_classes: int = 2
     head_width: int = 1024
 
     def __post_init__(self) -> None:
@@ -86,7 +91,6 @@ class SsfCnnConfig:
 class SsfNnConfig:
     num_categories: int
     num_columns: int = 5
-    num_classes: int = 2
     hidden: tuple[int, ...] = (512, 1024)
 
     def __post_init__(self) -> None:
@@ -100,7 +104,6 @@ class SsfNnConfig:
 @dataclass(frozen=True)
 class PcConv1dConfig:
     num_categories: int
-    num_classes: int = 2
     channels: tuple[int, int] = (32, 64)
     head_width: int = 1024
 
@@ -210,17 +213,80 @@ def fuse_concat(global_vec: np.ndarray, semantic_vec: np.ndarray) -> np.ndarray:
     return np.concatenate([g, s], axis=-1)
 
 
-class _ModelBase:
-    """Shared plumbing: named parameters, gradient reset, checkpointing."""
+class SsfInput:
+    """First layer of an ``ssf`` branch: picks a subset's columns of a
+    (B, L, 5) feature batch and lays them out as its head reads them.
 
-    _parts: list[tuple[str, object]]
+    The feature batch is model input, so backward passes no gradient on.
+    """
+
+    def __init__(self, num_categories: int, subset: FeatureSubset, head_kind: str) -> None:
+        self.num_categories = num_categories
+        self.columns = list(subset.column_indices())
+        self.head_kind = head_kind
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        return []
+
+    def forward(self, ssf: np.ndarray) -> np.ndarray:
+        if ssf.ndim != 3 or ssf.shape[1] != self.num_categories or ssf.shape[2] != 5:
+            raise ValidationError(f"expected feature batch of shape (B, {self.num_categories}, 5), "
+                                  f"got {ssf.shape}")
+        x = ssf[:, :, self.columns]
+        if self.head_kind == "cnn":
+            return x[:, None, :, :]
+        if self.head_kind == "pc1d":
+            return x.transpose(0, 2, 1)
+        return x
+
+    def backward(self, grad_out: np.ndarray) -> None:
+        return None
+
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        return self.forward(np.zeros(in_shape)).shape
+
+    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return 0, self.out_shape(in_shape)
+
+
+@dataclass
+class Branch:
+    """One input path of a model.
+
+    ``input`` names what the branch reads: ``ssf`` for (B, L, 5) feature
+    batches, ``global`` for (B, W) global vectors. ``desc`` holds the
+    descriptor keys that rebuild the branch. Parameter names are those of
+    ``layers``, so a branch names its layers with their checkpoint prefix.
+    """
+
+    name: str
+    input: str
+    layers: Sequential
+    desc: dict
+
+    def sample(self) -> np.ndarray:
+        """A batch-1 zero input of the shape this branch reads."""
+        if self.input == "ssf":
+            return np.zeros((1, self.desc["num_categories"], 5))
+        return np.zeros((1, self.desc["global_input_width"]))
+
+
+class Model:
+    """Branches concatenated global-first, then a trunk producing logits."""
+
+    def __init__(self, kind: str, branches: list[Branch], trunk: Sequential, desc: dict) -> None:
+        self.kind = kind
+        self.branches = list(branches)
+        self.trunk = trunk
+        self._desc = dict(desc)
+        self._widths = [b.layers.out_shape(b.sample().shape)[1] for b in self.branches]
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for prefix, part in self._parts:
-            for name, tensor in part.params():
-                out.append((f"{prefix}.{name}" if prefix else name, tensor))
-        return out
+        return [p for b in self.branches for p in b.layers.params()] + self.trunk.params()
+
+    def global_param_names(self) -> tuple[str, ...]:
+        return tuple(name for b in self.branches if b.input == "global"
+                     for name, _ in b.layers.params())
 
     def zero_grad(self) -> None:
         for _, t in self.parameters():
@@ -242,194 +308,110 @@ class _ModelBase:
                                       f"expected {own[name].data.shape}")
             own[name].data = np.array(arr, dtype=np.float64, order="C")
 
+    def forward(self, ssf: np.ndarray | None, global_vec: np.ndarray | None = None) -> np.ndarray:
+        inputs = {"ssf": ssf, "global": global_vec}
+        outs = []
+        for b in self.branches:
+            if inputs[b.input] is None:
+                raise ValidationError(f"{self.kind} model needs {b.input} input for branch {b.name!r}")
+            outs.append(b.layers.forward(np.asarray(inputs[b.input], dtype=np.float64)))
+        return self.trunk.forward(outs[0] if len(outs) == 1 else fuse_concat(*outs))
 
-def _prepare_semantic(ssf: np.ndarray, subset: FeatureSubset, head_kind: str,
-                      num_categories: int) -> np.ndarray:
-    ssf = np.asarray(ssf, dtype=np.float64)
-    if ssf.ndim != 3 or ssf.shape[1] != num_categories or ssf.shape[2] != 5:
-        raise ValidationError(f"expected feature batch of shape (B, {num_categories}, 5), got {ssf.shape}")
-    x = ssf[:, :, list(subset.column_indices())]
-    if head_kind == "cnn":
-        return x[:, None, :, :]
-    if head_kind == "pc1d":
-        return x.transpose(0, 2, 1)
-    return x
-
-
-class SemanticClassifier(_ModelBase):
-    """Feature-matrix head plus one FC classification layer."""
-
-    def __init__(self, head: Sequential, classifier: Dense, head_kind: str,
-                 subset: FeatureSubset, num_categories: int, num_classes: int,
-                 extra: dict | None = None) -> None:
-        self.head = head
-        self.classifier = classifier
-        self.head_kind = head_kind
-        self.subset = subset
-        self.num_categories = num_categories
-        self.num_classes = num_classes
-        self._extra = dict(extra or {})
-        self._parts = [("head", head), ("classifier", classifier)]
-
-    def forward(self, ssf: np.ndarray, global_vec: np.ndarray | None = None) -> np.ndarray:
-        x = _prepare_semantic(ssf, self.subset, self.head_kind, self.num_categories)
-        return self.classifier.forward(self.head.forward(x))
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        self.head.backward(self.classifier.backward(grad_logits))
+    def backward(self, grad_logits: np.ndarray, frozen: set[str] | tuple[str, ...] = ()) -> None:
+        """Backpropagate, skipping each branch whose parameter names are all in ``frozen``."""
+        grad = self.trunk.backward(grad_logits)
+        start = 0
+        for b, width in zip(self.branches, self._widths):
+            if not all(name in frozen for name, _ in b.layers.params()):
+                b.layers.backward(grad[:, start : start + width])
+            start += width
 
     def descriptor(self) -> dict:
-        d = {"model": "semantic", "head": self.head_kind, "subset": self.subset.spec_string(),
-             "num_categories": self.num_categories, "num_classes": self.num_classes}
-        d.update(self._extra)
+        d = {"model": self.kind, **self._desc}
+        for b in self.branches:
+            d.update(b.desc)
         return d
 
-    def flop_count(self) -> int:
-        shape = _prepare_semantic(
-            np.zeros((1, self.num_categories, 5)), self.subset, self.head_kind,
-            self.num_categories).shape
-        head_flops, head_out = self.head.flop_count(shape)
-        return head_flops + self.classifier.flop_count(head_out)[0]
-
-
-class GlobalClassifier(_ModelBase):
-    """FC layer over an ingested global feature vector, plus a classifier."""
-
-    def __init__(self, fc1: Dense, classifier: Dense, cfg: FusionConfig) -> None:
-        self.fc1 = fc1
-        self.relu = ReLU()
-        self.classifier = classifier
-        self.cfg = cfg
-        self._parts = [("global_fc1", fc1), ("classifier", classifier)]
-
-    def forward(self, ssf: np.ndarray | None, global_vec: np.ndarray) -> np.ndarray:
-        if global_vec is None:
-            raise ValidationError("global classifier needs global feature vectors")
-        g = np.asarray(global_vec, dtype=np.float64)
-        return self.classifier.forward(self.relu.forward(self.fc1.forward(g)))
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        self.fc1.backward(self.relu.backward(self.classifier.backward(grad_logits)))
-
-    def descriptor(self) -> dict:
-        return {"model": "global", "num_classes": self.cfg.num_classes,
-                "global_input_width": self.cfg.global_input_width,
-                "global_width": self.cfg.global_width}
+    def sample_inputs(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Batch-1 zero inputs ``(ssf, global_vec)``; None for an input no branch reads."""
+        inputs = {"ssf": None, "global": None}
+        for b in self.branches:
+            inputs[b.input] = b.sample()
+        return inputs["ssf"], inputs["global"]
 
     def flop_count(self) -> int:
-        shape = (1, self.cfg.global_input_width)
-        flops, shape = self.fc1.flop_count(shape)
-        return flops + self.classifier.flop_count(shape)[0]
+        return (sum(b.layers.flop_count(b.sample().shape)[0] for b in self.branches)
+                + self.trunk.flop_count((1, sum(self._widths)))[0])
 
 
-class FusionClassifier(_ModelBase):
-    """Frozen-able global branch concatenated with a semantic head, then FC3/FC4."""
-
-    def __init__(self, fc1: Dense, head: Sequential, fc3: Dense, fc4: Dense,
-                 head_kind: str, subset: FeatureSubset, cfg: FusionConfig,
-                 num_categories: int, extra: dict | None = None) -> None:
-        self.fc1 = fc1
-        self.relu_g = ReLU()
-        self.head = head
-        self.fc3 = fc3
-        self.relu_f = ReLU()
-        self.fc4 = fc4
-        self.head_kind = head_kind
-        self.subset = subset
-        self.cfg = cfg
-        self.num_categories = num_categories
-        self._extra = dict(extra or {})
-        self._parts = [("global_fc1", fc1), ("head", head), ("fc3", fc3), ("fc4", fc4)]
-
-    def global_param_names(self) -> tuple[str, ...]:
-        return tuple(f"global_fc1.{name}" for name, _ in self.fc1.params())
-
-    def forward(self, ssf: np.ndarray, global_vec: np.ndarray) -> np.ndarray:
-        if global_vec is None:
-            raise ValidationError("fusion classifier needs global feature vectors")
-        g = np.asarray(global_vec, dtype=np.float64)
-        u = self.relu_g.forward(self.fc1.forward(g))
-        v = self.head.forward(_prepare_semantic(ssf, self.subset, self.head_kind,
-                                                self.num_categories))
-        fused = fuse_concat(u, v)
-        return self.fc4.forward(self.relu_f.forward(self.fc3.forward(fused)))
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        g_fused = self.fc3.backward(self.relu_f.backward(self.fc4.backward(grad_logits)))
-        split = self.cfg.global_width
-        self.fc1.backward(self.relu_g.backward(g_fused[:, :split]))
-        self.head.backward(g_fused[:, split:])
-
-    def descriptor(self) -> dict:
-        d = {"model": "fusion", "head": self.head_kind, "subset": self.subset.spec_string(),
-             "num_categories": self.num_categories, "num_classes": self.cfg.num_classes,
-             "global_input_width": self.cfg.global_input_width,
-             "global_width": self.cfg.global_width,
-             "semantic_width": self.cfg.semantic_width, "fc3_width": self.cfg.fc3_width}
-        d.update(self._extra)
-        return d
-
-    def flop_count(self) -> int:
-        flops, shape = self.fc1.flop_count((1, self.cfg.global_input_width))
-        head_flops, _ = self.head.flop_count(_prepare_semantic(
-            np.zeros((1, self.num_categories, 5)), self.subset, self.head_kind,
-            self.num_categories).shape)
-        flops += head_flops
-        f3, shape = self.fc3.flop_count((1, self.cfg.fused_width))
-        return flops + f3 + self.fc4.flop_count(shape)[0]
-
-
-def _build_head(head_kind: str, subset: FeatureSubset, num_categories: int,
-                rng: np.random.Generator | None, *, num_classes: int,
+def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
+                rng: np.random.Generator | None, *,
                 hidden: tuple[int, ...] = (512, 1024),
                 pc_channels: tuple[int, int] = (32, 64),
-                head_width: int = 1024) -> tuple[Sequential, int, dict]:
+                head_width: int = 1024) -> tuple[Branch, int]:
+    """The ``head`` branch and the width it emits."""
     if head_kind not in HEAD_KINDS:
         raise ValidationError(f"unknown head kind {head_kind!r}; expected one of {HEAD_KINDS}")
     k = subset.num_columns
     if head_kind == "cnn":
-        cfg = SsfCnnConfig(num_categories, k, num_classes, head_width)
-        return build_ssf_cnn(cfg, rng), head_width, {"head_width": head_width}
-    if head_kind == "nn":
-        cfg = SsfNnConfig(num_categories, k, num_classes, tuple(hidden))
-        return build_ssf_nn(cfg, rng), cfg.hidden[-1], {"hidden": list(cfg.hidden)}
-    if subset.spec_string() != "pc":
-        raise ValidationError("the 1-D conv head consumes the count column only; use subset 'pc'")
-    cfg = PcConv1dConfig(num_categories, num_classes, tuple(pc_channels), head_width)
-    return (build_pc_conv1d_head(cfg, rng), head_width,
-            {"pc_channels": list(cfg.channels), "head_width": head_width})
+        head = build_ssf_cnn(SsfCnnConfig(num_categories, k, head_width), rng)
+        width, extra = head_width, {"head_width": head_width}
+    elif head_kind == "nn":
+        cfg = SsfNnConfig(num_categories, k, tuple(hidden))
+        head = build_ssf_nn(cfg, rng)
+        width, extra = cfg.hidden[-1], {"hidden": list(cfg.hidden)}
+    else:
+        if subset.spec_string() != "pc":
+            raise ValidationError("the 1-D conv head consumes the count column only; use subset 'pc'")
+        cfg = PcConv1dConfig(num_categories, tuple(pc_channels), head_width)
+        head = build_pc_conv1d_head(cfg, rng)
+        width, extra = head_width, {"pc_channels": list(cfg.channels), "head_width": head_width}
+    layers = Sequential([("input", SsfInput(num_categories, subset, head_kind)), ("head", head)])
+    desc = {"head": head_kind, "subset": subset.spec_string(),
+            "num_categories": num_categories, **extra}
+    return Branch("head", "ssf", layers, desc), width
+
+
+def _global_branch(cfg: FusionConfig, rng: np.random.Generator | None) -> Branch:
+    layers = Sequential([("global_fc1", Dense(cfg.global_input_width, cfg.global_width, rng=rng)),
+                         ("relu", ReLU())])
+    return Branch("global_fc1", "global", layers,
+                  {"global_input_width": cfg.global_input_width, "global_width": cfg.global_width})
 
 
 def build_semantic_classifier(head_kind: str, subset: FeatureSubset, num_categories: int,
                               num_classes: int, rng: np.random.Generator | None,
-                              **head_options) -> SemanticClassifier:
-    head, width, extra = _build_head(head_kind, subset, num_categories, rng,
-                                     num_classes=num_classes, **head_options)
-    classifier = Dense(width, num_classes, rng=rng)
-    return SemanticClassifier(head, classifier, head_kind, subset, num_categories,
-                              num_classes, extra)
+                              **head_options) -> Model:
+    if num_classes < 2:
+        raise ValidationError(f"num_classes must be >= 2, got {num_classes}")
+    head, width = _ssf_branch(head_kind, subset, num_categories, rng, **head_options)
+    trunk = Sequential([("classifier", Dense(width, num_classes, rng=rng))])
+    return Model("semantic", [head], trunk, {"num_classes": num_classes})
 
 
-def build_global_classifier(cfg: FusionConfig, rng: np.random.Generator | None) -> GlobalClassifier:
-    fc1 = Dense(cfg.global_input_width, cfg.global_width, rng=rng)
-    classifier = Dense(cfg.global_width, cfg.num_classes, rng=rng)
-    return GlobalClassifier(fc1, classifier, cfg)
+def build_global_classifier(cfg: FusionConfig, rng: np.random.Generator | None) -> Model:
+    branch = _global_branch(cfg, rng)
+    trunk = Sequential([("classifier", Dense(cfg.global_width, cfg.num_classes, rng=rng))])
+    return Model("global", [branch], trunk, {"num_classes": cfg.num_classes})
 
 
 def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSubset,
                             num_categories: int, rng: np.random.Generator | None,
                             base: Checkpoint | None = None,
-                            **head_options) -> FusionClassifier:
+                            **head_options) -> Model:
     """Assemble the fusion model, optionally loading the global branch from step 1."""
-    head, width, extra = _build_head(head_kind, subset, num_categories, rng,
-                                     num_classes=cfg.num_classes, **head_options)
+    # Weights are drawn head first, then global_fc1, fc3 and fc4, as seeded
+    # checkpoints were always built; the branches are listed global-first.
+    head, width = _ssf_branch(head_kind, subset, num_categories, rng, **head_options)
     if width != cfg.semantic_width:
         raise ValidationError(f"head emits width {width}, fusion expects {cfg.semantic_width}")
-    fc1 = Dense(cfg.global_input_width, cfg.global_width, rng=rng)
-    fc3 = Dense(cfg.fused_width, cfg.fc3_width, rng=rng)
-    fc4 = Dense(cfg.fc3_width, cfg.num_classes, rng=rng)
-    model = FusionClassifier(fc1, head, fc3, fc4, head_kind, subset, cfg,
-                             num_categories, extra)
+    glob = _global_branch(cfg, rng)
+    trunk = Sequential([("fc3", Dense(cfg.fused_width, cfg.fc3_width, rng=rng)),
+                        ("relu", ReLU()),
+                        ("fc4", Dense(cfg.fc3_width, cfg.num_classes, rng=rng))])
+    model = Model("fusion", [glob, head], trunk,
+                  {"num_classes": cfg.num_classes, "semantic_width": cfg.semantic_width,
+                   "fc3_width": cfg.fc3_width})
     if base is not None:
         if base.descriptor.get("model") != "global":
             raise CheckpointError(f"expected a step-1 global checkpoint, got model "
@@ -438,8 +420,7 @@ def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSu
             if base.descriptor.get(field) != model.descriptor()[field]:
                 raise CheckpointError(f"step-1 checkpoint {field}={base.descriptor.get(field)} "
                                       f"does not match fusion config {model.descriptor()[field]}")
-        for name, tensor in fc1.params():
-            key = f"global_fc1.{name}"
+        for key, tensor in glob.layers.params():
             if key not in base.params:
                 raise CheckpointError(f"step-1 checkpoint is missing {key!r}")
             if base.params[key].shape != tensor.data.shape:
@@ -449,44 +430,26 @@ def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSu
     return model
 
 
-def build_from_descriptor(desc: dict, rng: np.random.Generator | None = None):
+def build_from_descriptor(desc: dict, rng: np.random.Generator | None = None) -> Model:
     """Rebuild a model from a checkpoint's architecture descriptor."""
     kind = desc.get("model")
+    if kind not in ("semantic", "global", "fusion"):
+        raise CheckpointError(f"unknown model kind {kind!r} in descriptor")
+    options = {key: desc[key] for key in ("hidden", "pc_channels", "head_width") if key in desc}
     if kind == "semantic":
-        options = {}
-        if "hidden" in desc:
-            options["hidden"] = tuple(desc["hidden"])
-        if "pc_channels" in desc:
-            options["pc_channels"] = tuple(desc["pc_channels"])
-        if "head_width" in desc:
-            options["head_width"] = desc["head_width"]
         return build_semantic_classifier(desc["head"], FeatureSubset.parse(desc["subset"]),
                                          desc["num_categories"], desc["num_classes"], rng,
                                          **options)
+    cfg = FusionConfig(**{key: desc[key] for key in ("global_input_width", "num_classes",
+                                                      "global_width", "semantic_width",
+                                                      "fc3_width") if key in desc})
     if kind == "global":
-        cfg = FusionConfig(global_input_width=desc["global_input_width"],
-                           num_classes=desc["num_classes"],
-                           global_width=desc["global_width"])
         return build_global_classifier(cfg, rng)
-    if kind == "fusion":
-        cfg = FusionConfig(global_input_width=desc["global_input_width"],
-                           num_classes=desc["num_classes"],
-                           global_width=desc["global_width"],
-                           semantic_width=desc["semantic_width"],
-                           fc3_width=desc["fc3_width"])
-        options = {}
-        if "hidden" in desc:
-            options["hidden"] = tuple(desc["hidden"])
-        if "pc_channels" in desc:
-            options["pc_channels"] = tuple(desc["pc_channels"])
-        if "head_width" in desc:
-            options["head_width"] = desc["head_width"]
-        return build_fusion_classifier(cfg, desc["head"], FeatureSubset.parse(desc["subset"]),
-                                       desc["num_categories"], rng, **options)
-    raise CheckpointError(f"unknown model kind {kind!r} in descriptor")
+    return build_fusion_classifier(cfg, desc["head"], FeatureSubset.parse(desc["subset"]),
+                                   desc["num_categories"], rng, **options)
 
 
-def load_model(ckpt: Checkpoint):
+def load_model(ckpt: Checkpoint) -> Model:
     model = build_from_descriptor(ckpt.descriptor)
     model.load_arrays(ckpt.params)
     return model
@@ -524,9 +487,9 @@ def _run_split(model, data: LoadedDataset, idx: np.ndarray, batch_size: int) -> 
 _STAGE_MODEL = {"semantic_only": "semantic", "step1_global": "global", "step2_fusion": "fusion"}
 
 
-def train(plan: TrainPlan, data: LoadedDataset, model) -> tuple[Checkpoint, list[dict]]:
+def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoint, list[dict]]:
     """Run the training loop; returns the final checkpoint and per-epoch metrics."""
-    kind = model.descriptor()["model"]
+    kind = model.kind
     if _STAGE_MODEL[plan.stage] != kind:
         raise ValidationError(f"stage {plan.stage!r} cannot train a {kind!r} model")
     if kind in ("global", "fusion") and data.global_vecs is None:
@@ -561,7 +524,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model) -> tuple[Checkpoint, list
             if not np.isfinite(loss):
                 raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
                                       f"batch {batch}")
-            model.backward(grad)
+            model.backward(grad, frozen)
             opt.step()
             model.zero_grad()
             epoch_loss += loss * len(sel)

@@ -97,11 +97,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         descriptor = json.loads(r.take(desc_len).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable architecture descriptor: {exc}") from None
+    if not isinstance(descriptor, dict):
+        raise CheckpointError(f"{path}: architecture descriptor must be a JSON object, "
+                              f"got {type(descriptor).__name__}")
     (nblocks,) = r.unpack("<I")
     params: dict[str, np.ndarray] = {}
     for _ in range(nblocks):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        try:
+            name = r.take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: block name is not UTF-8: {exc}") from None
         (ndim,) = r.unpack("<B")
         if ndim > 4:
             raise CheckpointError(f"{path}: block {name!r} has {ndim} dims, limit is 4")
@@ -119,5 +125,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     metadata = {}
     sidecar = path.with_name(path.name + ".meta.json")
     if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
+        try:
+            metadata = json.loads(sidecar.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{sidecar}: unreadable metadata sidecar: {exc}") from None
+        if not isinstance(metadata, dict):
+            raise CheckpointError(f"{sidecar}: metadata sidecar must be a JSON object, "
+                                  f"got {type(metadata).__name__}")
     return Checkpoint(descriptor=descriptor, params=params, metadata=metadata)

@@ -126,3 +126,31 @@ class TestMalformedFiles:
                       + struct.pack("<I", 0))
         with pytest.raises(CheckpointError, match="descriptor"):
             load_checkpoint(p)
+
+    def test_block_name_not_utf8(self, tmp_path):
+        block = (struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<B", 1)
+                 + struct.pack("<I", 1) + struct.pack("<d", 1.0))
+        p = tmp_path / "x.ssfc"
+        p.write_bytes(struct.pack("<4sHH", b"SSFC", 1, 0) + struct.pack("<I", 2) + b"{}"
+                      + struct.pack("<I", 1) + block)
+        with pytest.raises(CheckpointError, match=r"x\.ssfc: block name is not UTF-8"):
+            load_checkpoint(p)
+
+    def test_descriptor_not_an_object(self, tmp_path):
+        p = tmp_path / "x.ssfc"
+        p.write_bytes(struct.pack("<4sHH", b"SSFC", 1, 0) + struct.pack("<I", 2) + b"[]"
+                      + struct.pack("<I", 0))
+        with pytest.raises(CheckpointError, match=r"x\.ssfc: .*must be a JSON object, got list"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("sidecar,message", [
+        (b"{not json", "unreadable metadata sidecar"),
+        (b"\xff\xfe{}", "unreadable metadata sidecar"),
+        (b"[1, 2]", "metadata sidecar must be a JSON object, got list"),
+    ], ids=["not-json", "not-utf8", "not-an-object"])
+    def test_corrupt_sidecar(self, tmp_path, sidecar, message):
+        p = tmp_path / "x.ssfc"
+        save_checkpoint(sample_checkpoint(), p)
+        (tmp_path / "x.ssfc.meta.json").write_bytes(sidecar)
+        with pytest.raises(CheckpointError, match=r"x\.ssfc\.meta\.json: " + message):
+            load_checkpoint(p)

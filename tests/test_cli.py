@@ -86,6 +86,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "broken.manifest:3: entry must be a JSON object" in err
 
+    def test_corrupt_checkpoint_sidecar_is_one_line_data_error(self, synth_dir, tmp_path,
+                                                               capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--manifest", str(synth_dir / "dataset.manifest"),
+                     "--head", "nn", "--epochs", "1", "--out", str(run)]) == 0
+        (run / "model.ssfc.meta.json").write_text("{truncated")
+        capsys.readouterr()
+        rc = main(["eval", "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--checkpoint", str(run / "model.ssfc")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "model.ssfc.meta.json: unreadable metadata sidecar" in err
+
     def test_learning_rate_times_decay_at_one_exits_1_without_checkpoint(self, synth_dir,
                                                                         tmp_path, capsys):
         run = tmp_path / "run"

@@ -12,7 +12,6 @@ from ssfx.data import (
     DatasetManifest,
     ManifestEntry,
     SynthSpec,
-    batch_iter,
     benchmark_recipes,
     benchmark_spec,
     generate_synthetic,
@@ -210,22 +209,6 @@ class TestBatching:
         a = np.concatenate(shuffled_batches(np.arange(100), 32, seed=5, epoch=0))
         b = np.concatenate(shuffled_batches(np.arange(100), 32, seed=5, epoch=1))
         assert not np.array_equal(a, b)
-
-    def test_test_split_is_unshuffled(self, tmp_path):
-        spec = tiny_spec()
-        manifest = load_manifest(generate_synthetic(spec, tmp_path / "d"))
-        idx = manifest.split_indices("test")
-        for seed in (0, 1, 2):
-            batches = batch_iter(manifest, "test", batch_size=4, seed=seed, epoch=seed)
-            np.testing.assert_array_equal(np.concatenate(batches), idx)
-
-    def test_empty_split_errors(self, tmp_path):
-        rel = place_mask(tmp_path)
-        manifest = DatasetManifest(
-            num_classes=2, num_categories=3, void_value=0,
-            entries=[ManifestEntry("a", rel, 0, "train")], root=tmp_path)
-        with pytest.raises(ValidationError, match="no 'test' entries"):
-            batch_iter(manifest, "test")
 
 
 class TestGenerator:

@@ -111,7 +111,7 @@ class TestAblationGrid:
         real_train = evaluation.train
 
         def sabotaged(plan, data, model):
-            if model.descriptor()["head"] == "cnn" and model.subset.label() == "AP":
+            if model.descriptor()["head"] == "cnn" and model.descriptor()["subset"] == "ap":
                 raise ArithmeticError("injected failure")
             return real_train(plan, data, model)
 
@@ -125,6 +125,19 @@ class TestAblationGrid:
         assert grid.accuracy("AP", "cnn") is None
         assert grid.accuracy("AP", "nn") is not None
         assert "error: injected failure" in grid.to_text()
+
+    def test_programming_error_in_a_cell_propagates(self, tiny_ablation_data, monkeypatch):
+        real_train = evaluation.train
+
+        def broken(plan, data, model):
+            if model.descriptor()["head"] == "nn" and model.descriptor()["subset"] == "sd":
+                raise TypeError("injected programming error")
+            return real_train(plan, data, model)
+
+        monkeypatch.setattr(evaluation, "train", broken)
+        with pytest.raises(TypeError, match="injected programming error"):
+            run_ablation(tiny_ablation_data, epochs=1, batch_size=16,
+                         learning_rate=1e-3, seed=0)
 
     def test_unknown_cell_lookup_rejected(self):
         grid = AblationGrid(cells=())

@@ -135,6 +135,78 @@ class TestBuilders:
                                     np.random.default_rng(0), hidden=(8, 16))
 
 
+def _pinned_fusion_cfg(semantic_width):
+    return FusionConfig(5, 3, global_width=8, semantic_width=semantic_width, fc3_width=6)
+
+
+# Parameter names, descriptors and FLOPs of small models, as the three
+# separate classifier classes produced them; SSFC files depend on the names
+# and descriptors.
+PINNED_MODELS = {
+    "semantic-nn": (
+        lambda rng: build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12)),
+        ["head.fc1.weight", "head.fc1.bias", "head.fc2.weight", "head.fc2.bias",
+         "classifier.weight", "classifier.bias"],
+        {"model": "semantic", "head": "nn", "subset": "pc,ap,sd", "num_categories": 4,
+         "num_classes": 3, "hidden": [8, 12]},
+        584),
+    "semantic-cnn": (
+        lambda rng: build_semantic_classifier("cnn", FeatureSubset.parse("pc,ap"), 4, 3, rng,
+                                              head_width=16),
+        ["head.conv1.weight", "head.conv1.bias", "head.conv2.weight", "head.conv2.bias",
+         "head.conv3.weight", "head.conv3.bias", "head.fc.weight", "head.fc.bias",
+         "classifier.weight", "classifier.bias"],
+        {"model": "semantic", "head": "cnn", "subset": "pc,ap", "num_categories": 4,
+         "num_classes": 3, "head_width": 16},
+        3_577_440),
+    "semantic-pc1d": (
+        lambda rng: build_semantic_classifier("pc1d", FeatureSubset.parse("pc"), 6, 3, rng,
+                                              pc_channels=(4, 8), head_width=16),
+        ["head.conv1.weight", "head.conv1.bias", "head.conv2.weight", "head.conv2.bias",
+         "head.fc.weight", "head.fc.bias", "classifier.weight", "classifier.bias"],
+        {"model": "semantic", "head": "pc1d", "subset": "pc", "num_categories": 6,
+         "num_classes": 3, "pc_channels": [4, 8], "head_width": 16},
+        2928),
+    "global": (
+        lambda rng: build_global_classifier(FusionConfig(5, 3, global_width=8), rng),
+        ["global_fc1.weight", "global_fc1.bias", "classifier.weight", "classifier.bias"],
+        {"model": "global", "num_classes": 3, "global_input_width": 5, "global_width": 8},
+        128),
+    "fusion-nn": (
+        lambda rng: build_fusion_classifier(_pinned_fusion_cfg(12), "nn", FeatureSubset(), 4,
+                                            rng, hidden=(8, 12)),
+        ["global_fc1.weight", "global_fc1.bias", "head.fc1.weight", "head.fc1.bias",
+         "head.fc2.weight", "head.fc2.bias", "fc3.weight", "fc3.bias", "fc4.weight",
+         "fc4.bias"],
+        {"model": "fusion", "head": "nn", "subset": "pc,ap,sd", "num_categories": 4,
+         "num_classes": 3, "global_input_width": 5, "global_width": 8, "semantic_width": 12,
+         "fc3_width": 6, "hidden": [8, 12]},
+        868),
+    "fusion-cnn": (
+        lambda rng: build_fusion_classifier(_pinned_fusion_cfg(16), "cnn",
+                                            FeatureSubset.parse("sd"), 4, rng, head_width=16),
+        ["global_fc1.weight", "global_fc1.bias", "head.conv1.weight", "head.conv1.bias",
+         "head.conv2.weight", "head.conv2.bias", "head.conv3.weight", "head.conv3.bias",
+         "head.fc.weight", "head.fc.bias", "fc3.weight", "fc3.bias", "fc4.weight", "fc4.bias"],
+        {"model": "fusion", "head": "cnn", "subset": "sd", "num_categories": 4,
+         "num_classes": 3, "global_input_width": 5, "global_width": 8, "semantic_width": 16,
+         "fc3_width": 6, "head_width": 16},
+        2_385_300),
+}
+
+
+class TestPinnedFormat:
+    @pytest.mark.parametrize("case", sorted(PINNED_MODELS))
+    def test_names_descriptor_and_flops(self, case):
+        build, names, descriptor, flops = PINNED_MODELS[case]
+        model = build(np.random.default_rng(0))
+        assert [name for name, _ in model.parameters()] == names
+        assert model.descriptor() == descriptor
+        assert model.flop_count() == flops
+        rebuilt = build_from_descriptor(descriptor)
+        assert [name for name, _ in rebuilt.parameters()] == names
+
+
 class TestFuseConcat:
     def test_global_comes_first(self):
         fused = fuse_concat(np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]))
@@ -330,6 +402,35 @@ class TestTwoStepProtocol:
                                         base=step1_ckpt)
         fresh_state = Checkpoint({}, fresh.state_arrays()).block_hashes()
         assert any(after[n] != fresh_state[n] for n in trained)
+
+    def test_step2_computes_no_gradient_for_the_frozen_branch(self):
+        data = toy_dataset(global_width=4)
+        cfg = FusionConfig(4, 2, global_width=8, semantic_width=12, fc3_width=8)
+        plan1 = TrainPlan("step1_global", epochs=1, batch_size=8,
+                          learning_rate=0.01, weight_decay=0.0, seed=0)
+        step1_ckpt, _ = train(plan1, data, build_global_classifier(cfg, np.random.default_rng(1)))
+        fusion = build_fusion_classifier(cfg, "nn", FeatureSubset(), 4,
+                                         np.random.default_rng(2), hidden=(8, 12),
+                                         base=step1_ckpt)
+        frozen = fusion.global_param_names()
+        seen = []
+        real_backward = fusion.backward
+
+        def recording_backward(grad, *args):
+            real_backward(grad, *args)
+            seen.append({name: t.grad is None for name, t in fusion.parameters()})
+
+        fusion.backward = recording_backward
+        plan2 = TrainPlan("step2_fusion", epochs=1, batch_size=len(data.train_idx),
+                          learning_rate=0.01, weight_decay=0.0, seed=0, frozen=frozen)
+        step2_ckpt, _ = train(plan2, data, fusion)
+
+        assert len(seen) == 1
+        assert frozen == ("global_fc1.weight", "global_fc1.bias")
+        assert all(seen[0][name] for name in frozen)
+        assert not any(is_none for name, is_none in seen[0].items() if name not in frozen)
+        before, after = step1_ckpt.block_hashes(), step2_ckpt.block_hashes()
+        assert all(after[name] == before[name] for name in frozen)
 
     def test_base_checkpoint_must_be_global_model(self):
         cfg = FusionConfig(4, 2, global_width=8, semantic_width=12, fc3_width=8)
