@@ -42,6 +42,7 @@ from .models import (
     build_fusion_classifier,
     build_global_classifier,
     build_semantic_classifier,
+    check_descriptor,
     load_model,
     train,
 )
@@ -279,9 +280,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if data.global_vecs is None:
             raise ValidationError("manifest has no global feature vectors; step 2 needs them")
         base = load_checkpoint(args.from_checkpoint)
+        base_width = check_descriptor(base.descriptor).get("global_width", 1024)
         cfg = FusionConfig(global_input_width=data.global_vecs.shape[1],
-                           num_classes=data.num_classes,
-                           global_width=base.descriptor.get("global_width", 1024))
+                           num_classes=data.num_classes, global_width=base_width)
         model = build_fusion_classifier(cfg, args.head, args.subset, data.num_categories,
                                         rng, base=base)
         frozen = model.global_param_names()

@@ -60,6 +60,7 @@ __all__ = [
     "build_semantic_classifier",
     "build_global_classifier",
     "build_fusion_classifier",
+    "check_descriptor",
     "build_from_descriptor",
     "load_model",
     "fuse_concat",
@@ -430,11 +431,47 @@ def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSu
     return model
 
 
+# The keys each model kind's descriptor must hold, and the type of every key
+# a descriptor may hold; head options and FusionConfig widths have defaults.
+_REQUIRED_KEYS = {
+    "semantic": ("head", "subset", "num_categories", "num_classes"),
+    "global": ("global_input_width", "num_classes"),
+    "fusion": ("head", "subset", "num_categories", "global_input_width", "num_classes"),
+}
+_STR, _INT, _INTS, _INT_PAIR = "a string", "an integer", "a list of integers", "a list of 2 integers"
+_KEY_TYPES = {"head": _STR, "subset": _STR, "num_categories": _INT, "num_classes": _INT,
+              "global_input_width": _INT, "global_width": _INT, "semantic_width": _INT,
+              "fc3_width": _INT, "head_width": _INT, "hidden": _INTS, "pc_channels": _INT_PAIR}
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind == _STR:
+        return isinstance(value, str)
+    if kind == _INT:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return (isinstance(value, list) and all(_has_type(v, _INT) for v in value)
+            and (kind == _INTS or len(value) == 2))
+
+
+def check_descriptor(desc: dict) -> dict:
+    """Return ``desc`` if it names a model kind, holds every key that kind
+    needs, and gives each key it holds the right type; else raise
+    ``CheckpointError`` naming the key."""
+    kind = desc.get("model")
+    if kind not in _REQUIRED_KEYS:
+        raise CheckpointError(f"unknown model kind {kind!r} in descriptor")
+    for key in _REQUIRED_KEYS[kind]:
+        if key not in desc:
+            raise CheckpointError(f"{kind} model descriptor lacks key {key!r}")
+    for key, kind_of in _KEY_TYPES.items():
+        if key in desc and not _has_type(desc[key], kind_of):
+            raise CheckpointError(f"descriptor key {key!r} must be {kind_of}, got {desc[key]!r}")
+    return desc
+
+
 def build_from_descriptor(desc: dict, rng: np.random.Generator | None = None) -> Model:
     """Rebuild a model from a checkpoint's architecture descriptor."""
-    kind = desc.get("model")
-    if kind not in ("semantic", "global", "fusion"):
-        raise CheckpointError(f"unknown model kind {kind!r} in descriptor")
+    kind = check_descriptor(desc)["model"]
     options = {key: desc[key] for key in ("hidden", "pc_channels", "head_width") if key in desc}
     if kind == "semantic":
         return build_semantic_classifier(desc["head"], FeatureSubset.parse(desc["subset"]),

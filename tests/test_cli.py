@@ -8,7 +8,7 @@ import pytest
 
 from ssfx.cli import main
 from ssfx.io import read_feature_matrix, write_pgm
-from ssfx.nn import load_checkpoint
+from ssfx.nn import Checkpoint, load_checkpoint, save_checkpoint
 
 
 def make_pgm(path, h=8, w=8, categories=3, seed=0):
@@ -99,6 +99,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "model.ssfc.meta.json: unreadable metadata sidecar" in err
+
+    @pytest.mark.parametrize("descriptor,key", [
+        ({"model": "semantic", "head": "nn"}, "subset"),
+        ({"model": "global", "global_input_width": 16, "num_classes": 6, "global_width": "x"},
+         "global_width"),
+    ], ids=["missing-subset", "global-width-str"])
+    def test_bad_checkpoint_descriptor_is_one_line_data_error(self, synth_dir, tmp_path, capsys,
+                                                              descriptor, key):
+        path = tmp_path / "model.ssfc"
+        save_checkpoint(Checkpoint(descriptor, {}), path)
+        capsys.readouterr()
+        rc = main(["eval", "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--checkpoint", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and repr(key) in err
+
+    def test_step2_on_bad_base_descriptor_is_one_line_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--variant", "split-info",
+                     "--samples", "3"]) == 0
+        base = tmp_path / "step1.ssfc"
+        save_checkpoint(Checkpoint({"model": "global", "global_input_width": 16,
+                                    "num_classes": 6, "global_width": "x"}, {}), base)
+        capsys.readouterr()
+        rc = main(["train", "--manifest", str(data / "dataset.manifest"), "--stage", "step2",
+                   "--head", "nn", "--from-checkpoint", str(base), "--epochs", "1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'global_width'" in err
 
     def test_learning_rate_times_decay_at_one_exits_1_without_checkpoint(self, synth_dir,
                                                                         tmp_path, capsys):

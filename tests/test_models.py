@@ -275,6 +275,26 @@ class TestDescriptorRoundTrip:
         with pytest.raises(CheckpointError, match="unknown model kind"):
             build_from_descriptor({"model": "mystery"})
 
+    @pytest.mark.parametrize("desc,key", [
+        ({"model": "semantic", "head": "nn"}, "subset"),
+        ({"model": "global", "global_input_width": 5, "num_classes": 3, "global_width": "x"},
+         "global_width"),
+        ({"model": "fusion", "head": "nn", "subset": "pc", "num_categories": 4,
+          "num_classes": 3}, "global_input_width"),
+        ({"model": "semantic", "head": "nn", "subset": "pc", "num_categories": 4,
+          "num_classes": True}, "num_classes"),
+        ({"model": "semantic", "head": "nn", "subset": "pc", "num_categories": 4,
+          "num_classes": 3, "hidden": [8, "12"]}, "hidden"),
+        ({"model": "semantic", "head": "pc1d", "subset": "pc", "num_categories": 4,
+          "num_classes": 3, "pc_channels": [8]}, "pc_channels"),
+        ({"model": "semantic", "head": 1, "subset": "pc", "num_categories": 4,
+          "num_classes": 3}, "head"),
+    ], ids=["missing-subset", "global-width-str", "fusion-missing-input-width",
+            "classes-bool", "hidden-str", "pc-channels-short", "head-int"])
+    def test_bad_descriptor_names_the_key(self, desc, key):
+        with pytest.raises(CheckpointError, match=f"'{key}'"):
+            build_from_descriptor(desc)
+
     def test_load_arrays_rejects_mismatched_names(self):
         rng = np.random.default_rng(8)
         model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
