@@ -243,6 +243,9 @@ class SsfInput:
     def backward(self, grad_out: np.ndarray) -> None:
         return None
 
+    def release(self) -> None:
+        pass
+
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return self.forward(np.zeros(in_shape)).shape
 
@@ -293,10 +296,24 @@ class Model:
         for _, t in self.parameters():
             t.zero_grad()
 
+    def release(self) -> None:
+        """Drop the buffers the layers keep between calls: forward caches,
+        im2col workspaces and spare gradient arrays."""
+        for b in self.branches:
+            b.layers.release()
+        self.trunk.release()
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters()}
 
     def load_arrays(self, params: dict[str, np.ndarray]) -> None:
+        """Set every parameter to a copy of the array of its name in ``params``."""
+        for tensor, arr in self._match(params):
+            tensor.data = np.array(arr, dtype=np.float64, order="C")
+
+    def _match(self, params: dict[str, np.ndarray]) -> list[tuple[Tensor, np.ndarray]]:
+        """Pair each parameter with its array in ``params``; the names and
+        shapes must match the architecture exactly."""
         own = dict(self.parameters())
         if set(params) != set(own):
             missing = sorted(set(own) - set(params))
@@ -307,7 +324,7 @@ class Model:
             if arr.shape != own[name].data.shape:
                 raise CheckpointError(f"parameter {name!r} has shape {arr.shape}, "
                                       f"expected {own[name].data.shape}")
-            own[name].data = np.array(arr, dtype=np.float64, order="C")
+        return [(own[name], arr) for name, arr in params.items()]
 
     def forward(self, ssf: np.ndarray | None, global_vec: np.ndarray | None = None) -> np.ndarray:
         inputs = {"ssf": ssf, "global": global_vec}
@@ -487,8 +504,19 @@ def build_from_descriptor(desc: dict, rng: np.random.Generator | None = None) ->
 
 
 def load_model(ckpt: Checkpoint) -> Model:
-    model = build_from_descriptor(ckpt.descriptor)
-    model.load_arrays(ckpt.params)
+    """Rebuild the model a checkpoint describes, with its parameters.
+
+    The model takes ownership of ``ckpt.params``: its parameters are those
+    arrays (copied only if one is not a writable C-ordered float64 array),
+    so training the model changes them.
+    """
+    try:
+        model = build_from_descriptor(ckpt.descriptor)
+    except MemoryError:
+        raise CheckpointError(f"descriptor {ckpt.descriptor} describes a model too large "
+                              f"to allocate") from None
+    for tensor, arr in model._match(ckpt.params):
+        tensor.data = np.require(arr, np.float64, ("C", "W"))
     return model
 
 
@@ -548,30 +576,36 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     opt = Adam(trainable, learning_rate=plan.learning_rate, weight_decay=plan.weight_decay)
 
     metrics: list[dict] = []
-    for epoch in range(plan.epochs):
-        epoch_loss = 0.0
-        correct = 0
-        for batch, sel in enumerate(shuffled_batches(data.train_idx, plan.batch_size,
-                                                     plan.seed, epoch)):
-            ssf = data.ssf[sel]
-            g = None if data.global_vecs is None else data.global_vecs[sel]
-            labels = data.labels[sel]
-            logits = model.forward(ssf, g)
-            loss, grad = softmax_cross_entropy(logits, labels)
-            if not np.isfinite(loss):
-                raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
-                                      f"batch {batch}")
-            model.backward(grad, frozen)
-            opt.step()
-            model.zero_grad()
-            epoch_loss += loss * len(sel)
-            correct += int((np.argmax(logits, axis=1) == labels).sum())
-        n_train = max(1, len(data.train_idx))
-        test_loss, test_acc = _run_split(model, data, data.test_idx, plan.batch_size)
-        metrics.append({"epoch": epoch, "split": "train",
-                        "loss": epoch_loss / n_train, "accuracy": correct / n_train})
-        metrics.append({"epoch": epoch, "split": "test",
-                        "loss": test_loss, "accuracy": test_acc})
+    try:
+        for epoch in range(plan.epochs):
+            epoch_loss = 0.0
+            correct = 0
+            for batch, sel in enumerate(shuffled_batches(data.train_idx, plan.batch_size,
+                                                         plan.seed, epoch)):
+                ssf = data.ssf[sel]
+                g = None if data.global_vecs is None else data.global_vecs[sel]
+                labels = data.labels[sel]
+                logits = model.forward(ssf, g)
+                loss, grad = softmax_cross_entropy(logits, labels)
+                if not np.isfinite(loss):
+                    raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
+                                          f"batch {batch}")
+                model.backward(grad, frozen)
+                opt.step()
+                model.zero_grad()
+                epoch_loss += loss * len(sel)
+                correct += int((np.argmax(logits, axis=1) == labels).sum())
+            n_train = max(1, len(data.train_idx))
+            test_loss, test_acc = _run_split(model, data, data.test_idx, plan.batch_size)
+            metrics.append({"epoch": epoch, "split": "train",
+                            "loss": epoch_loss / n_train, "accuracy": correct / n_train})
+            metrics.append({"epoch": epoch, "split": "test",
+                            "loss": test_loss, "accuracy": test_acc})
+    finally:
+        # Free Adam's moments and the step buffers before the checkpoint
+        # copies the parameters, and do not keep them past a failed run.
+        del opt
+        model.release()
 
     final = {m["split"]: {"loss": m["loss"], "accuracy": m["accuracy"]}
              for m in metrics[-2:]}

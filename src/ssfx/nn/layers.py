@@ -9,6 +9,15 @@ GEMM with that matrix and the input gradient as one GEMM per kernel tap,
 scatter-added into a padded buffer. ``Conv1D`` is a height-1 ``Conv2D``.
 Every layer caches what its backward pass needs during forward; calling
 backward without a cached forward is a usage error.
+
+The two largest arrays of a training step live from one step to the next
+instead of being allocated fresh each time: a conv layer writes its im2col
+matrix into a workspace it keeps (a prefix of it for a smaller batch; a
+larger batch replaces it), and ``Dense`` writes its weight gradient into
+the array its weight's ``zero_grad`` kept (``Tensor.grad_buffer``). Arrays
+this large come straight from the kernel, so a fresh one costs a page fault
+per 4 KiB page on first write. ``release`` drops these buffers and every
+forward cache; ``models.train`` calls it when it returns or raises.
 """
 from __future__ import annotations
 
@@ -93,6 +102,7 @@ class Conv2D:
         self.weight = Tensor(weight)
         self.bias = Tensor(np.zeros(out_channels))
         self._cache = None
+        self._workspace: np.ndarray | None = None
 
     def _geometry(self) -> tuple[int, int, int, int]:
         """Kernel height and width, then zero padding along height and width."""
@@ -139,7 +149,8 @@ class Conv2D:
         padded[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
         windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
         windows = windows[:, ::st, ::st][:, :ho, :wo]            # (b, ho, wo, c, kh, kw)
-        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * c)
+        cols = self._columns(b * ho * wo, kh * kw * c)
+        np.copyto(cols.reshape(b, ho, wo, kh, kw, c), windows.transpose(0, 1, 2, 4, 5, 3))
         out = cols @ w4.transpose(0, 2, 3, 1).reshape(o, kh * kw * c).T
         out += self.bias.data
         self._cache = (x.shape, cols)
@@ -169,6 +180,19 @@ class Conv2D:
                     (g @ taps[i, j]).reshape(b, ho, wo, c))
         self._cache = None
         return grad_padded[:, ph : ph + h, pw : pw + w, :].transpose(0, 3, 1, 2)
+
+    def _columns(self, rows: int, width: int) -> np.ndarray:
+        """A ``(rows, width)`` view of the workspace, grown if it is too small."""
+        if self._workspace is None or self._workspace.size < rows * width:
+            self._workspace = None   # let the old one go before allocating
+            self._workspace = np.empty(rows * width)
+        return self._workspace[: rows * width].reshape(rows, width)
+
+    def release(self) -> None:
+        """Drop the forward cache, the im2col workspace and spare gradients."""
+        self._cache = self._workspace = None
+        self.weight.release()
+        self.bias.release()
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
@@ -257,11 +281,17 @@ class Dense:
         if self._cache is None:
             raise RuntimeError("dense backward called before forward")
         x = self._cache
-        self.weight.add_grad(grad_out.T @ x)
+        self.weight.add_grad(np.matmul(grad_out.T, x, out=self.weight.grad_buffer()))
         self.bias.add_grad(grad_out.sum(axis=0))
         grad_in = grad_out @ self.weight.data
         self._cache = None
         return grad_in
+
+    def release(self) -> None:
+        """Drop the forward cache and spare gradients."""
+        self._cache = None
+        self.weight.release()
+        self.bias.release()
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
@@ -292,6 +322,9 @@ class ReLU:
         grad_in = np.where(self._cache, grad_out, 0.0)
         self._cache = None
         return grad_in
+
+    def release(self) -> None:
+        self._cache = None
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return 0, in_shape
@@ -324,6 +357,9 @@ class Flatten:
         grad_in = grad_out.reshape(self._cache)
         self._cache = None
         return grad_in
+
+    def release(self) -> None:
+        self._cache = None
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return 0, self.out_shape(in_shape)
@@ -358,6 +394,11 @@ class Sequential:
     def zero_grad(self) -> None:
         for _, tensor in self.params():
             tensor.zero_grad()
+
+    def release(self) -> None:
+        """Drop every buffer the layers keep between calls."""
+        for _, layer in self.layers:
+            layer.release()
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         for _, layer in self.layers:

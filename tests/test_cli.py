@@ -116,6 +116,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and repr(key) in err
 
+    def test_descriptor_too_large_to_allocate_is_one_line_data_error(self, synth_dir, tmp_path,
+                                                                      capsys):
+        path = tmp_path / "model.ssfc"
+        save_checkpoint(Checkpoint({"model": "global", "global_input_width": 1000000,
+                                    "num_classes": 3, "global_width": 1000000}, {}), path)
+        capsys.readouterr()
+        rc = main(["eval", "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--checkpoint", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "too large to allocate" in err and "'global_width': 1000000" in err
+
     def test_step2_on_bad_base_descriptor_is_one_line_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--variant", "split-info",

@@ -1,4 +1,7 @@
 """Model builders, parameter accounting, checkpointing, and the training loop."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from ssfx.models import (
     predict,
     train,
 )
-from ssfx.nn import Checkpoint, CheckpointError
+from ssfx.nn import Checkpoint, CheckpointError, save_checkpoint
 
 
 def toy_dataset(n_per_class=20, L=4, classes=2, global_width=None, seed=0):
@@ -312,6 +315,25 @@ class TestDescriptorRoundTrip:
         with pytest.raises(CheckpointError, match="shape"):
             model.load_arrays(state)
 
+    def test_load_model_takes_the_checkpoint_arrays_and_load_arrays_copies(self):
+        rng = np.random.default_rng(10)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
+        state = model.state_arrays()
+        loaded = dict(load_model(Checkpoint(model.descriptor(), state)).parameters())
+        assert all(loaded[name].data is arr for name, arr in state.items())
+        # A caller that reloads one dict into a model it trains keeps its arrays.
+        model.load_arrays(state)
+        assert not any(np.shares_memory(t.data, state[name]) for name, t in model.parameters())
+
+    def test_load_model_converts_arrays_it_cannot_take(self):
+        rng = np.random.default_rng(11)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
+        state = {name: np.asfortranarray(arr).astype(np.float32)
+                 for name, arr in model.state_arrays().items()}
+        for name, t in load_model(Checkpoint(model.descriptor(), state)).parameters():
+            assert t.data.dtype == np.float64 and t.data.flags.c_contiguous, name
+            np.testing.assert_array_equal(t.data, state[name])
+
 
 class TestTrainingLoop:
     def plan(self, stage="semantic_only", **overrides):
@@ -506,3 +528,114 @@ class TestTwoStepProtocol:
         assert acc(mf) > acc(m1)
         assert acc(mf) > acc(ms)
         assert acc(m1) <= 0.65 and acc(ms) <= 0.65  # single branches cap near 50%
+
+
+class TestStepBuffers:
+    """``train`` reuses its large per-step arrays and frees them when it ends."""
+
+    def plan(self, stage="semantic_only", **overrides):
+        defaults = dict(stage=stage, epochs=2, batch_size=8, learning_rate=0.01,
+                        weight_decay=5e-4, seed=0)
+        defaults.update(overrides)
+        return TrainPlan(**defaults)
+
+    @staticmethod
+    def sha256(ckpt, path):
+        save_checkpoint(ckpt, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("head", ["cnn", "nn", "pc1d", "step2"])
+    def test_dirty_buffers_do_not_change_the_trained_checkpoint(self, head, tmp_path):
+        data = toy_dataset(global_width=4 if head == "step2" else None)
+        cfg = FusionConfig(4, 2, global_width=8, semantic_width=12, fc3_width=8)
+        plan = self.plan()
+        if head == "step2":
+            base, _ = train(self.plan("step1_global"), data,
+                            build_global_classifier(cfg, np.random.default_rng(1)))
+
+        def make():
+            rng = np.random.default_rng(5)
+            if head == "step2":
+                return build_fusion_classifier(cfg, "cnn", FeatureSubset(), 4, rng,
+                                               head_width=12, base=base)
+            if head == "pc1d":
+                return build_semantic_classifier("pc1d", FeatureSubset.parse("pc"), 4, 2, rng,
+                                                 pc_channels=(3, 4), head_width=12)
+            return build_semantic_classifier(head, FeatureSubset(), 4, 2, rng,
+                                             hidden=(8, 12), head_width=12)
+
+        if head == "step2":
+            plan = self.plan("step2_fusion", frozen=make().global_param_names())
+        fresh_ckpt, _ = train(plan, data, make())
+
+        model = make()
+        init = model.state_arrays()
+        # Fill the gradient arrays, conv workspaces and forward caches from
+        # other data and batch sizes, then put the initial weights back.
+        rng = np.random.default_rng(9)
+        for batch in (13, 5):
+            ssf = rng.uniform(-1, 1, size=(batch, 4, 5))
+            g = rng.standard_normal((batch, 4)) if head == "step2" else None
+            model.backward(model.forward(ssf, g))
+            model.zero_grad()
+        model.forward(rng.uniform(size=(3, 4, 5)), rng.standard_normal((3, 4)))
+        model.load_arrays(init)
+        dirty_ckpt, _ = train(plan, data, model)
+
+        assert (self.sha256(dirty_ckpt, tmp_path / "dirty.ssfc")
+                == self.sha256(fresh_ckpt, tmp_path / "fresh.ssfc"))
+
+    @staticmethod
+    def cnn_l8():
+        """A cnn model at L=8, whose fc weight gradient (21 MB) dwarfs everything
+        else a step allocates, and a dataset of five batches of 8."""
+        model = build_semantic_classifier("cnn", FeatureSubset(), 8, 2, np.random.default_rng(0))
+        return model, toy_dataset(n_per_class=24, L=8)
+
+    def test_a_train_step_allocates_no_large_array(self):
+        model, data = self.cnn_l8()
+        fc_grad_bytes = dict(model.parameters())["head.fc.weight"].data.nbytes
+        peaks = []
+        base = None
+        real_zero_grad = model.zero_grad
+
+        def measuring_zero_grad():
+            # The peak since the previous step's zero_grad: one whole step.
+            nonlocal base
+            real_zero_grad()
+            current, peak = tracemalloc.get_traced_memory()
+            if base is not None:
+                peaks.append(peak - base)
+            tracemalloc.reset_peak()
+            base = current
+
+        model.zero_grad = measuring_zero_grad
+        tracemalloc.start()
+        try:
+            train(self.plan(epochs=1), data, model)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks) < fc_grad_bytes / 2, (peaks, fc_grad_bytes)
+
+    def test_train_releases_step_buffers_and_optimizer_state(self):
+        model, data = self.cnn_l8()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ckpt, _ = train(self.plan(epochs=1), data, model)
+            del ckpt
+            kept = tracemalloc.get_traced_memory()[0] - before
+            # A run that fails keeps nothing either, though its traceback,
+            # and with it the frame of train(), is still alive.
+            with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
+                                                          match="diverged") as failed:
+                train(self.plan(learning_rate=1e200, weight_decay=0.0), data, model)
+            kept_after_failure = tracemalloc.get_traced_memory()[0] - before
+            assert failed.tb is not None
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20, kept
+        assert kept_after_failure < 2**20, kept_after_failure
+        for name, t in model.parameters():
+            assert t.grad is None and t.grad_buffer() is None, name
