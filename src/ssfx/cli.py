@@ -280,7 +280,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         if data.global_vecs is None:
             raise ValidationError("manifest has no global feature vectors; step 2 needs them")
         base = load_checkpoint(args.from_checkpoint)
-        base_width = check_descriptor(base.descriptor).get("global_width", 1024)
+        base_width = check_descriptor(base.descriptor).get("global_width",
+                                                             FusionConfig.global_width)
         cfg = FusionConfig(global_input_width=data.global_vecs.shape[1],
                            num_classes=data.num_classes, global_width=base_width)
         model = build_fusion_classifier(cfg, args.head, args.subset, data.num_categories,
@@ -420,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, FormatError, CheckpointError, FileNotFoundError,
-            NotADirectoryError, PermissionError, ArithmeticError) as exc:
+            IsADirectoryError, NotADirectoryError, PermissionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -106,12 +106,16 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: manifest is not UTF-8 text: {exc}") from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty manifest")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise ValidationError(f"{path}: unreadable manifest header: {exc}") from None
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: manifest header must be a JSON object")
@@ -132,7 +136,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     for lineno, ln in enumerate(lines[1:], start=2):
         try:
             rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: unreadable entry: {exc}") from None
         if not isinstance(rec, dict):
             raise ValidationError(f"{path}:{lineno}: entry must be a JSON object")
@@ -143,7 +147,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise ValidationError(f"{path}:{lineno}: duplicate entry id {eid!r}")
         seen.add(eid)
         label = rec.get("label")
-        if not isinstance(label, int) or not 0 <= label < num_classes:
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise ValidationError(f"{path}:{lineno}: label must be an integer, got {label!r}")
+        if not 0 <= label < num_classes:
             raise ValidationError(f"{path}:{lineno}: label {label!r} out of range [0, {num_classes})")
         split = rec.get("split")
         if split not in SPLITS:
@@ -152,9 +158,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if not isinstance(mask_rel, str) or not (root / mask_rel).exists():
             raise ValidationError(f"{path}:{lineno}: missing mask file {mask_rel!r}")
         global_rel = rec.get("global")
-        if global_rel is not None:
-            if not (root / global_rel).exists():
-                raise ValidationError(f"{path}:{lineno}: missing global feature file {global_rel!r}")
+        if global_rel is not None and (not isinstance(global_rel, str)
+                                       or not (root / global_rel).exists()):
+            raise ValidationError(f"{path}:{lineno}: missing global feature file {global_rel!r}")
         if has_global is None:
             has_global = global_rel is not None
         elif has_global != (global_rel is not None):
@@ -180,7 +186,6 @@ class LoadedDataset:
     num_classes: int
     num_categories: int
     global_vecs: np.ndarray | None = None
-    manifest: DatasetManifest | None = None
 
 
 def load_dataset(manifest: DatasetManifest, threads: int = 1) -> LoadedDataset:
@@ -214,7 +219,7 @@ def load_dataset(manifest: DatasetManifest, threads: int = 1) -> LoadedDataset:
                          test_idx=manifest.split_indices("test"),
                          num_classes=manifest.num_classes,
                          num_categories=manifest.num_categories,
-                         global_vecs=global_vecs, manifest=manifest)
+                         global_vecs=global_vecs)
 
 
 def shuffled_batches(indices: np.ndarray, batch_size: int, seed: int, epoch: int

@@ -2,9 +2,9 @@
 and the two-step training protocol.
 
 Three heads emit a fixed-width semantic feature vector from an L x k
-feature matrix: a three-layer 2-D conv stack (channels 64/128/64, kernel 3,
-stride 1, padding 1) followed by one FC layer; a plain FC stack; and a 1-D
-conv head over the count column alone.
+feature matrix: a 2-D conv stack, a dense stack, and a 1-D conv stack over
+the count column alone. ``_ssf_branch`` builds all three and holds their
+default widths.
 
 Every model is one graph: an ordered list of named branches, each reading
 one input (``ssf``, the feature matrix, or ``global``, an ingested feature
@@ -46,17 +46,11 @@ __all__ = [
     "CNN_CHANNELS",
     "HEAD_KINDS",
     "STAGES",
-    "SsfCnnConfig",
-    "SsfNnConfig",
-    "PcConv1dConfig",
     "FusionConfig",
     "TrainPlan",
     "SsfInput",
     "Branch",
     "Model",
-    "build_ssf_cnn",
-    "build_ssf_nn",
-    "build_pc_conv1d_head",
     "build_semantic_classifier",
     "build_global_classifier",
     "build_fusion_classifier",
@@ -75,44 +69,6 @@ STAGES = ("semantic_only", "step1_global", "step2_fusion")
 
 
 @dataclass(frozen=True)
-class SsfCnnConfig:
-    num_categories: int
-    num_columns: int = 5
-    head_width: int = 1024
-
-    def __post_init__(self) -> None:
-        _check_positive(self)
-
-    @property
-    def flatten_width(self) -> int:
-        return CNN_CHANNELS[-1] * self.num_categories * self.num_columns
-
-
-@dataclass(frozen=True)
-class SsfNnConfig:
-    num_categories: int
-    num_columns: int = 5
-    hidden: tuple[int, ...] = (512, 1024)
-
-    def __post_init__(self) -> None:
-        _check_positive(self)
-        if not self.hidden:
-            raise ValidationError("hidden widths must be non-empty")
-        if any(h < 1 for h in self.hidden):
-            raise ValidationError(f"hidden widths must be positive, got {self.hidden}")
-
-
-@dataclass(frozen=True)
-class PcConv1dConfig:
-    num_categories: int
-    channels: tuple[int, int] = (32, 64)
-    head_width: int = 1024
-
-    def __post_init__(self) -> None:
-        _check_positive(self)
-
-
-@dataclass(frozen=True)
 class FusionConfig:
     global_input_width: int
     num_classes: int
@@ -121,7 +77,10 @@ class FusionConfig:
     fc3_width: int = 512
 
     def __post_init__(self) -> None:
-        _check_positive(self)
+        _check_widths(global_input_width=self.global_input_width, global_width=self.global_width,
+                      semantic_width=self.semantic_width, fc3_width=self.fc3_width)
+        if self.num_classes < 2:
+            raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
 
     @property
     def fused_width(self) -> int:
@@ -147,60 +106,12 @@ class TrainPlan:
             raise ValidationError("learning_rate must be positive and weight_decay non-negative")
 
 
-def _check_positive(cfg) -> None:
-    for name in ("num_categories", "num_columns", "num_classes", "head_width",
-                 "global_input_width", "global_width", "semantic_width", "fc3_width"):
-        value = getattr(cfg, name, None)
-        if value is not None and value < 1:
-            raise ValidationError(f"{type(cfg).__name__}.{name} must be positive, got {value}")
-    classes = getattr(cfg, "num_classes", None)
-    if classes is not None and classes < 2:
-        raise ValidationError(f"{type(cfg).__name__}.num_classes must be >= 2, got {classes}")
-
-
-def build_ssf_cnn(cfg: SsfCnnConfig, rng: np.random.Generator | None) -> Sequential:
-    """Conv stack and FC head; input (B, 1, L, k), output (B, head_width)."""
-    c1, c2, c3 = CNN_CHANNELS
-    head = Sequential([
-        ("conv1", Conv2D(1, c1, 3, 1, 1, rng=rng)),
-        ("relu1", ReLU()),
-        ("conv2", Conv2D(c1, c2, 3, 1, 1, rng=rng)),
-        ("relu2", ReLU()),
-        ("conv3", Conv2D(c2, c3, 3, 1, 1, rng=rng)),
-        ("relu3", ReLU()),
-        ("flatten", Flatten()),
-        ("fc", Dense(cfg.flatten_width, cfg.head_width, rng=rng)),
-        ("relu4", ReLU()),
-    ])
-    got = head.out_shape((1, 1, cfg.num_categories, cfg.num_columns))
-    if got != (1, cfg.head_width):
-        raise ValidationError(f"conv head emits shape {got}, expected (1, {cfg.head_width})")
-    return head
-
-
-def build_ssf_nn(cfg: SsfNnConfig, rng: np.random.Generator | None) -> Sequential:
-    """FC stack; input (B, L, k), output (B, hidden[-1])."""
-    layers: list[tuple[str, object]] = [("flatten", Flatten())]
-    width = cfg.num_categories * cfg.num_columns
-    for i, h in enumerate(cfg.hidden, start=1):
-        layers.append((f"fc{i}", Dense(width, h, rng=rng)))
-        layers.append((f"relu{i}", ReLU()))
-        width = h
-    return Sequential(layers)
-
-
-def build_pc_conv1d_head(cfg: PcConv1dConfig, rng: np.random.Generator | None) -> Sequential:
-    """Two 1-D convs over the L-length count vector, then FC; input (B, 1, L)."""
-    c1, c2 = cfg.channels
-    return Sequential([
-        ("conv1", Conv1D(1, c1, 3, 1, 1, rng=rng)),
-        ("relu1", ReLU()),
-        ("conv2", Conv1D(c1, c2, 3, 1, 1, rng=rng)),
-        ("relu2", ReLU()),
-        ("flatten", Flatten()),
-        ("fc", Dense(c2 * cfg.num_categories, cfg.head_width, rng=rng)),
-        ("relu3", ReLU()),
-    ])
+def _check_widths(**widths) -> None:
+    """Refuse a width below 1, and an empty width list or one holding a width below 1."""
+    for name, value in widths.items():
+        values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
+        if not values or min(values) < 1:
+            raise ValidationError(f"{name} must be positive, got {value!r}")
 
 
 def fuse_concat(global_vec: np.ndarray, semantic_vec: np.ndarray) -> np.ndarray:
@@ -367,26 +278,57 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
                 hidden: tuple[int, ...] = (512, 1024),
                 pc_channels: tuple[int, int] = (32, 64),
                 head_width: int = 1024) -> tuple[Branch, int]:
-    """The ``head`` branch and the width it emits."""
+    """The ``head`` branch over the subset's L x k columns, and the width it emits.
+
+    ``cnn``: three 3x3 convs of ``CNN_CHANNELS`` (stride 1, padding 1, so each
+    keeps L x k), then a dense layer to ``head_width``. ``nn``: dense layers of
+    the ``hidden`` widths over the flattened matrix. ``pc1d``: two 1-D convs of
+    ``pc_channels`` (kernel 3, padding 1) along the count column, then a dense
+    layer to ``head_width``. Every conv and dense layer is followed by a ReLU.
+    """
     if head_kind not in HEAD_KINDS:
         raise ValidationError(f"unknown head kind {head_kind!r}; expected one of {HEAD_KINDS}")
+    _check_widths(num_categories=num_categories, hidden=hidden, pc_channels=pc_channels,
+                  head_width=head_width)
     k = subset.num_columns
     if head_kind == "cnn":
-        head = build_ssf_cnn(SsfCnnConfig(num_categories, k, head_width), rng)
-        width, extra = head_width, {"head_width": head_width}
+        c1, c2, c3 = CNN_CHANNELS
+        head = Sequential([
+            ("conv1", Conv2D(1, c1, 3, 1, 1, rng=rng)),
+            ("relu1", ReLU()),
+            ("conv2", Conv2D(c1, c2, 3, 1, 1, rng=rng)),
+            ("relu2", ReLU()),
+            ("conv3", Conv2D(c2, c3, 3, 1, 1, rng=rng)),
+            ("relu3", ReLU()),
+            ("flatten", Flatten()),
+            ("fc", Dense(c3 * num_categories * k, head_width, rng=rng)),
+            ("relu4", ReLU()),
+        ])
+        width, options = head_width, {"head_width": head_width}
     elif head_kind == "nn":
-        cfg = SsfNnConfig(num_categories, k, tuple(hidden))
-        head = build_ssf_nn(cfg, rng)
-        width, extra = cfg.hidden[-1], {"hidden": list(cfg.hidden)}
+        layers: list[tuple[str, object]] = [("flatten", Flatten())]
+        width = num_categories * k
+        for i, h in enumerate(hidden, start=1):
+            layers += [(f"fc{i}", Dense(width, h, rng=rng)), (f"relu{i}", ReLU())]
+            width = h
+        head, options = Sequential(layers), {"hidden": list(hidden)}
     else:
         if subset.spec_string() != "pc":
             raise ValidationError("the 1-D conv head consumes the count column only; use subset 'pc'")
-        cfg = PcConv1dConfig(num_categories, tuple(pc_channels), head_width)
-        head = build_pc_conv1d_head(cfg, rng)
-        width, extra = head_width, {"pc_channels": list(cfg.channels), "head_width": head_width}
+        c1, c2 = pc_channels
+        head = Sequential([
+            ("conv1", Conv1D(1, c1, 3, 1, 1, rng=rng)),
+            ("relu1", ReLU()),
+            ("conv2", Conv1D(c1, c2, 3, 1, 1, rng=rng)),
+            ("relu2", ReLU()),
+            ("flatten", Flatten()),
+            ("fc", Dense(c2 * num_categories, head_width, rng=rng)),
+            ("relu3", ReLU()),
+        ])
+        width, options = head_width, {"pc_channels": [c1, c2], "head_width": head_width}
     layers = Sequential([("input", SsfInput(num_categories, subset, head_kind)), ("head", head)])
     desc = {"head": head_kind, "subset": subset.spec_string(),
-            "num_categories": num_categories, **extra}
+            "num_categories": num_categories, **options}
     return Branch("head", "ssf", layers, desc), width
 
 
@@ -419,7 +361,9 @@ def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSu
                             **head_options) -> Model:
     """Assemble the fusion model, optionally loading the global branch from step 1."""
     # Weights are drawn head first, then global_fc1, fc3 and fc4, as seeded
-    # checkpoints were always built; the branches are listed global-first.
+    # checkpoints were always built; global_fc1 is drawn even when ``base``
+    # replaces it, so fc3 and fc4 do not depend on ``base``. The branches are
+    # listed global-first.
     head, width = _ssf_branch(head_kind, subset, num_categories, rng, **head_options)
     if width != cfg.semantic_width:
         raise ValidationError(f"head emits width {width}, fusion expects {cfg.semantic_width}")
@@ -427,25 +371,20 @@ def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSu
     trunk = Sequential([("fc3", Dense(cfg.fused_width, cfg.fc3_width, rng=rng)),
                         ("relu", ReLU()),
                         ("fc4", Dense(cfg.fc3_width, cfg.num_classes, rng=rng))])
-    model = Model("fusion", [glob, head], trunk,
-                  {"num_classes": cfg.num_classes, "semantic_width": cfg.semantic_width,
-                   "fc3_width": cfg.fc3_width})
     if base is not None:
         if base.descriptor.get("model") != "global":
             raise CheckpointError(f"expected a step-1 global checkpoint, got model "
                                   f"{base.descriptor.get('model')!r}")
         for field in ("global_input_width", "global_width", "num_classes"):
-            if base.descriptor.get(field) != model.descriptor()[field]:
+            if base.descriptor.get(field) != getattr(cfg, field):
                 raise CheckpointError(f"step-1 checkpoint {field}={base.descriptor.get(field)} "
-                                      f"does not match fusion config {model.descriptor()[field]}")
-        for key, tensor in glob.layers.params():
-            if key not in base.params:
-                raise CheckpointError(f"step-1 checkpoint is missing {key!r}")
-            if base.params[key].shape != tensor.data.shape:
-                raise CheckpointError(f"step-1 block {key!r} has shape {base.params[key].shape}, "
-                                      f"expected {tensor.data.shape}")
-            tensor.data = np.array(base.params[key], dtype=np.float64, order="C")
-    return model
+                                      f"does not match fusion config {getattr(cfg, field)}")
+        step1 = build_global_classifier(cfg, None)
+        step1.load_arrays(base.params)
+        glob = step1.branches[0]
+    return Model("fusion", [glob, head], trunk,
+                 {"num_classes": cfg.num_classes, "semantic_width": cfg.semantic_width,
+                  "fc3_width": cfg.fc3_width})
 
 
 # The keys each model kind's descriptor must hold, and the type of every key

@@ -160,7 +160,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         (desc_len,) = r.unpack("<I")
         try:
             descriptor = json.loads(r.take(desc_len).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past int's digit limit
             raise CheckpointError(f"{path}: unreadable architecture descriptor: {exc}") from None
         if not isinstance(descriptor, dict):
             raise CheckpointError(f"{path}: architecture descriptor must be a JSON object, "
@@ -188,7 +188,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if sidecar.exists():
         try:
             metadata = json.loads(sidecar.read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise CheckpointError(f"{sidecar}: unreadable metadata sidecar: {exc}") from None
         if not isinstance(metadata, dict):
             raise CheckpointError(f"{sidecar}: metadata sidecar must be a JSON object, "

@@ -47,7 +47,8 @@ class ShapeError(ValidationError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer, as stored in checkpoints."""
+    """Declarative description of one layer's kind and geometry. Checkpoints do
+    not store it; they store only the model descriptor the layers are rebuilt from."""
 
     kind: str  # conv2d | conv1d | fully_connected | relu | flatten
     in_channels: int = 0

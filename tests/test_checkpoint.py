@@ -233,11 +233,20 @@ class TestMalformedFiles:
         with pytest.raises(CheckpointError, match=r"x\.ssfc: .*must be a JSON object, got list"):
             load_checkpoint(p)
 
+    def test_descriptor_int_past_digit_limit(self, tmp_path):
+        desc = b'{"num_classes": ' + b"1" * 5000 + b"}"
+        p = tmp_path / "x.ssfc"
+        p.write_bytes(struct.pack("<4sHH", b"SSFC", 1, 0) + struct.pack("<I", len(desc)) + desc
+                      + struct.pack("<I", 0))
+        with pytest.raises(CheckpointError, match=r"x\.ssfc: unreadable architecture descriptor"):
+            load_checkpoint(p)
+
     @pytest.mark.parametrize("sidecar,message", [
         (b"{not json", "unreadable metadata sidecar"),
         (b"\xff\xfe{}", "unreadable metadata sidecar"),
         (b"[1, 2]", "metadata sidecar must be a JSON object, got list"),
-    ], ids=["not-json", "not-utf8", "not-an-object"])
+        (b'{"seed": ' + b"1" * 5000 + b"}", "unreadable metadata sidecar"),
+    ], ids=["not-json", "not-utf8", "not-an-object", "int-past-digit-limit"])
     def test_corrupt_sidecar(self, tmp_path, sidecar, message):
         p = tmp_path / "x.ssfc"
         save_checkpoint(sample_checkpoint(), p)

@@ -144,6 +144,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'global_width'" in err
 
+    @pytest.mark.parametrize("options,key", [
+        ({"num_categories": 0}, "num_categories"),
+        ({"head": "cnn", "head_width": 0}, "head_width"),
+        ({"head": "pc1d", "subset": "pc", "head_width": -3}, "head_width"),
+        ({"hidden": [512, 0]}, "hidden"),
+        ({"head": "pc1d", "subset": "pc", "pc_channels": [-1, 4]}, "pc_channels"),
+        ({"model": "global", "global_input_width": 0}, "global_input_width"),
+        ({"model": "fusion", "global_width": -1}, "global_width"),
+        ({"model": "fusion", "semantic_width": 0}, "semantic_width"),
+        ({"model": "fusion", "fc3_width": 0}, "fc3_width"),
+    ], ids=["categories", "cnn-head-width", "pc1d-head-width", "hidden-entry",
+            "pc-channels-entry", "global-input-width", "global-width", "semantic-width",
+            "fc3-width"])
+    def test_non_positive_descriptor_width_is_one_line_data_error(self, synth_dir, tmp_path,
+                                                                  capsys, options, key):
+        descriptor = {"model": "semantic", "head": "nn", "subset": "pc,ap,sd",
+                      "num_categories": 8, "num_classes": 6, "global_input_width": 16,
+                      **options}
+        path = tmp_path / "model.ssfc"
+        save_checkpoint(Checkpoint(descriptor, {}), path)
+        capsys.readouterr()
+        rc = main(["eval", "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--checkpoint", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{key} must be positive" in err
+
+    def test_manifest_not_utf8_is_one_line_data_error(self, synth_dir, tmp_path, capsys):
+        path = tmp_path / "dataset.manifest"
+        text = (synth_dir / "dataset.manifest").read_bytes()
+        path.write_bytes(text.replace(b'"train"', b'"tr\xe4in"', 1))
+        rc = main(["train", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{path}: manifest is not UTF-8 text" in err
+
+    def test_directory_in_place_of_a_file_is_one_line_data_error(self, synth_dir, tmp_path,
+                                                                 capsys):
+        for argv in (["train", "--manifest", str(tmp_path), "--out", str(tmp_path / "o")],
+                     ["eval", "--manifest", str(synth_dir / "dataset.manifest"),
+                      "--checkpoint", str(tmp_path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert "Is a directory" in err
+
     def test_learning_rate_times_decay_at_one_exits_1_without_checkpoint(self, synth_dir,
                                                                         tmp_path, capsys):
         run = tmp_path / "run"

@@ -104,6 +104,38 @@ class TestManifestValidation:
         with pytest.raises(ValidationError, match=r"label 2 out of range \[0, 2\)"):
             load_manifest(write_manifest_text(tmp_path, lines))
 
+    @pytest.mark.parametrize("label", [True, False, 1.0, "1", None])
+    def test_label_that_is_not_an_integer_is_rejected(self, tmp_path, label):
+        rel = place_mask(tmp_path)
+        lines = [json.dumps({"id": "a", "mask": rel, "global": None, "label": label,
+                             "split": "train"})]
+        with pytest.raises(ValidationError, match=f"label must be an integer, got {label!r}"):
+            load_manifest(write_manifest_text(tmp_path, lines))
+
+    @pytest.mark.parametrize("path", [5, ["g.ssff"], {"path": "g.ssff"}])
+    def test_global_path_that_is_not_a_string_is_rejected(self, tmp_path, path):
+        rel = place_mask(tmp_path)
+        lines = [json.dumps({"id": "a", "mask": rel, "global": path, "label": 0,
+                             "split": "train"})]
+        with pytest.raises(ValidationError, match="missing global feature file"):
+            load_manifest(write_manifest_text(tmp_path, lines))
+
+    def test_integer_past_the_digit_limit_is_unreadable(self, tmp_path):
+        rel = place_mask(tmp_path)
+        entry = json.dumps({"id": "a", "mask": rel, "global": None, "label": 0, "split": "train"})
+        path = write_manifest_text(tmp_path, [entry.replace('"label": 0', '"label": ' + "1" * 5000)])
+        with pytest.raises(ValidationError, match="dataset.manifest:2: unreadable entry"):
+            load_manifest(path)
+        path.write_text('{"kind": "ssfx-manifest", "version": ' + "1" * 5000 + "}\n" + entry + "\n")
+        with pytest.raises(ValidationError, match="unreadable manifest header"):
+            load_manifest(path)
+
+    def test_manifest_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "dataset.manifest"
+        path.write_bytes(b'{"kind": "ssfx-manifest\xff"}\n')
+        with pytest.raises(ValidationError, match="dataset.manifest: manifest is not UTF-8"):
+            load_manifest(path)
+
     def test_unknown_split_rejected(self, tmp_path):
         rel = place_mask(tmp_path)
         lines = [json.dumps({"id": "a", "mask": rel, "global": None, "label": 0, "split": "val"})]

@@ -10,17 +10,11 @@ from ssfx.features import FeatureSubset
 from ssfx.mask import ValidationError
 from ssfx.models import (
     FusionConfig,
-    PcConv1dConfig,
-    SsfCnnConfig,
-    SsfNnConfig,
     TrainPlan,
     build_from_descriptor,
     build_fusion_classifier,
     build_global_classifier,
-    build_pc_conv1d_head,
     build_semantic_classifier,
-    build_ssf_cnn,
-    build_ssf_nn,
     fuse_concat,
     load_model,
     param_count,
@@ -48,33 +42,41 @@ def toy_dataset(n_per_class=20, L=4, classes=2, global_width=None, seed=0):
                          num_categories=L, global_vecs=g)
 
 
+def head_layer_sizes(model):
+    """Parameter count of each layer of the ``head`` branch, by layer name."""
+    sizes = {}
+    for name, t in model.parameters():
+        if name.startswith("head."):
+            layer = name.split(".")[1]
+            sizes[layer] = sizes.get(layer, 0) + t.size
+    return sizes
+
+
 class TestParameterCounts:
     def test_nn_head_closed_form(self):
         L, k = 40, 5
-        rng = np.random.default_rng(0)
-        head = build_ssf_nn(SsfNnConfig(L, k), rng)
+        model = build_semantic_classifier("nn", FeatureSubset(), L, 6, np.random.default_rng(0))
         expected = (L * k * 512 + 512) + (512 * 1024 + 1024)
-        assert sum(t.size for _, t in head.params()) == expected
+        assert sum(head_layer_sizes(model).values()) == expected
         assert expected == 628_224
 
     def test_cnn_head_closed_form(self):
         L, k = 40, 5
-        rng = np.random.default_rng(0)
-        head = build_ssf_cnn(SsfCnnConfig(L, k), rng)
-        by_name = {name: t.size for name, t in head.params()}
-        assert by_name["conv1.weight"] + by_name["conv1.bias"] == 64 * 1 * 9 + 64 == 640
-        assert by_name["conv2.weight"] + by_name["conv2.bias"] == 128 * 64 * 9 + 128 == 73_856
-        assert by_name["conv3.weight"] + by_name["conv3.bias"] == 64 * 128 * 9 + 64 == 73_792
+        model = build_semantic_classifier("cnn", FeatureSubset(), L, 6, np.random.default_rng(0))
+        by_name = head_layer_sizes(model)
+        assert by_name["conv1"] == 64 * 1 * 9 + 64 == 640
+        assert by_name["conv2"] == 128 * 64 * 9 + 128 == 73_856
+        assert by_name["conv3"] == 64 * 128 * 9 + 64 == 73_792
         flat = 64 * L * k
         assert flat == 12_800
-        assert by_name["fc.weight"] + by_name["fc.bias"] == flat * 1024 + 1024
+        assert by_name["fc"] == flat * 1024 + 1024
 
     def test_pc1d_head_closed_form(self):
         L = 40
-        rng = np.random.default_rng(0)
-        head = build_pc_conv1d_head(PcConv1dConfig(L), rng)
+        model = build_semantic_classifier("pc1d", FeatureSubset.parse("pc"), L, 6,
+                                          np.random.default_rng(0))
         expected = (32 * 1 * 3 + 32) + (64 * 32 * 3 + 64) + (64 * L * 1024 + 1024)
-        assert sum(t.size for _, t in head.params()) == expected
+        assert sum(head_layer_sizes(model).values()) == expected
 
     def test_classifier_adds_dense_block(self):
         rng = np.random.default_rng(0)
@@ -92,14 +94,51 @@ class TestParameterCounts:
 class TestBuilders:
     def test_cnn_preserves_matrix_dims_until_flatten(self):
         rng = np.random.default_rng(1)
-        head = build_ssf_cnn(SsfCnnConfig(7, 3, head_width=32), rng)
-        out = head.forward(rng.standard_normal((2, 1, 7, 3)))
+        model = build_semantic_classifier("cnn", FeatureSubset.parse("pc,ap"), 7, 3, rng,
+                                          head_width=32)
+        assert dict(model.parameters())["head.fc.weight"].data.shape == (32, 64 * 7 * 3)
+        out = model.branches[0].layers.forward(rng.standard_normal((2, 7, 5)))
         assert out.shape == (2, 32)
 
     def test_nn_head_output_width(self):
         rng = np.random.default_rng(1)
-        head = build_ssf_nn(SsfNnConfig(7, 5, hidden=(16, 24)), rng)
-        assert head.forward(rng.standard_normal((3, 7, 5))).shape == (3, 24)
+        model = build_semantic_classifier("nn", FeatureSubset(), 7, 3, rng, hidden=(16, 24))
+        assert model.branches[0].layers.forward(rng.standard_normal((3, 7, 5))).shape == (3, 24)
+
+    def test_pc1d_head_output_width(self):
+        rng = np.random.default_rng(1)
+        model = build_semantic_classifier("pc1d", FeatureSubset.parse("pc"), 7, 3, rng,
+                                          pc_channels=(4, 8), head_width=16)
+        assert model.branches[0].layers.forward(rng.standard_normal((3, 7, 5))).shape == (3, 16)
+
+    @pytest.mark.parametrize("head,options,key", [
+        ("nn", {"hidden": (16, 0)}, "hidden"),
+        ("nn", {"hidden": ()}, "hidden"),
+        ("cnn", {"head_width": 0}, "head_width"),
+        ("pc1d", {"head_width": -2}, "head_width"),
+        ("pc1d", {"pc_channels": (-1, 4)}, "pc_channels"),
+        ("pc1d", {"pc_channels": (4, 0)}, "pc_channels"),
+    ], ids=["hidden-entry", "hidden-empty", "cnn-head-width", "pc1d-head-width",
+            "pc-channels-first", "pc-channels-second"])
+    def test_non_positive_head_width_is_refused(self, head, options, key):
+        subset = FeatureSubset.parse("pc") if head == "pc1d" else FeatureSubset()
+        with pytest.raises(ValidationError, match=f"{key} must be positive"):
+            build_semantic_classifier(head, subset, 6, 3, np.random.default_rng(0), **options)
+
+    def test_non_positive_num_categories_is_refused(self):
+        with pytest.raises(ValidationError, match="num_categories must be positive"):
+            build_semantic_classifier("nn", FeatureSubset(), 0, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("key", ["global_input_width", "global_width", "semantic_width",
+                                     "fc3_width"])
+    def test_non_positive_fusion_width_is_refused(self, key):
+        widths = {"global_input_width": 4, "num_classes": 3, key: 0}
+        with pytest.raises(ValidationError, match=f"{key} must be positive, got 0"):
+            FusionConfig(**widths)
+
+    def test_fusion_needs_two_classes(self):
+        with pytest.raises(ValidationError, match="num_classes must be >= 2, got 1"):
+            FusionConfig(global_input_width=4, num_classes=1)
 
     def test_pc1d_head_consumes_count_column_only(self):
         rng = np.random.default_rng(1)
@@ -489,6 +528,37 @@ class TestTwoStepProtocol:
         with pytest.raises(CheckpointError, match="global_width"):
             build_fusion_classifier(cfg, "nn", FeatureSubset(), 4,
                                     np.random.default_rng(0), hidden=(8, 12), base=bad)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda p: (p.pop("classifier.weight"), p.pop("classifier.bias")), "classifier.bias"),
+        (lambda p: p.update({"rogue.weight": np.zeros(3)}), "rogue.weight"),
+        (lambda p: p.update({"global_fc1.bias": np.zeros(9)}), "shape"),
+    ], ids=["no-classifier", "extra-block", "wrong-shape"])
+    def test_base_checkpoint_blocks_must_match_the_global_model(self, edit, match):
+        cfg = FusionConfig(4, 2, global_width=8, semantic_width=12, fc3_width=8)
+        step1 = build_global_classifier(cfg, np.random.default_rng(0))
+        params = step1.state_arrays()
+        edit(params)
+        with pytest.raises(CheckpointError, match=match):
+            build_fusion_classifier(cfg, "nn", FeatureSubset(), 4, np.random.default_rng(0),
+                                    hidden=(8, 12), base=Checkpoint(step1.descriptor(), params))
+
+    def test_base_weights_are_copied_and_leave_the_other_draws_alone(self):
+        cfg = FusionConfig(4, 2, global_width=8, semantic_width=12, fc3_width=8)
+        base = build_global_classifier(cfg, np.random.default_rng(1))
+        ckpt = Checkpoint(base.descriptor(), base.state_arrays())
+        fusion = dict(build_fusion_classifier(cfg, "nn", FeatureSubset(), 4,
+                                              np.random.default_rng(2), hidden=(8, 12),
+                                              base=ckpt).parameters())
+        fresh = dict(build_fusion_classifier(cfg, "nn", FeatureSubset(), 4,
+                                             np.random.default_rng(2),
+                                             hidden=(8, 12)).parameters())
+        for name, tensor in fusion.items():
+            if name.startswith("global_fc1."):
+                np.testing.assert_array_equal(tensor.data, ckpt.params[name])
+                assert not np.shares_memory(tensor.data, ckpt.params[name]), name
+            else:
+                np.testing.assert_array_equal(tensor.data, fresh[name].data)
 
     def test_fusion_improves_on_either_branch_for_complementary_data(self):
         # labels = 2*a + b where the mask encodes a and the global vector b:
