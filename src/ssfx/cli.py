@@ -198,6 +198,8 @@ def _record(out_dir: Path, command: str, args: argparse.Namespace) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {args.threads}")
     void = None if args.no_void else args.void
     jobs: list[tuple[str, Path, int, int | None]] = []  # (output stem, path, L, void)
     if args.manifest is not None:
@@ -423,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, FormatError, CheckpointError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -36,6 +36,7 @@ from .nn import (
     Conv2D,
     Dense,
     Flatten,
+    Layer,
     ReLU,
     Sequential,
     Tensor,
@@ -125,7 +126,7 @@ def fuse_concat(global_vec: np.ndarray, semantic_vec: np.ndarray) -> np.ndarray:
     return np.concatenate([g, s], axis=-1)
 
 
-class SsfInput:
+class SsfInput(Layer):
     """First layer of an ``ssf`` branch: picks a subset's columns of a
     (B, L, 5) feature batch and lays them out as its head reads them.
 
@@ -136,9 +137,6 @@ class SsfInput:
         self.num_categories = num_categories
         self.columns = list(subset.column_indices())
         self.head_kind = head_kind
-
-    def params(self) -> list[tuple[str, Tensor]]:
-        return []
 
     def forward(self, ssf: np.ndarray) -> np.ndarray:
         if ssf.ndim != 3 or ssf.shape[1] != self.num_categories or ssf.shape[2] != 5:
@@ -154,14 +152,8 @@ class SsfInput:
     def backward(self, grad_out: np.ndarray) -> None:
         return None
 
-    def release(self) -> None:
-        pass
-
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return self.forward(np.zeros(in_shape)).shape
-
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return 0, self.out_shape(in_shape)
 
 
 @dataclass
@@ -294,11 +286,11 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
     if head_kind == "cnn":
         c1, c2, c3 = CNN_CHANNELS
         head = Sequential([
-            ("conv1", Conv2D(1, c1, 3, 1, 1, rng=rng)),
+            ("conv1", Conv2D(1, c1, rng=rng)),
             ("relu1", ReLU()),
-            ("conv2", Conv2D(c1, c2, 3, 1, 1, rng=rng)),
+            ("conv2", Conv2D(c1, c2, rng=rng)),
             ("relu2", ReLU()),
-            ("conv3", Conv2D(c2, c3, 3, 1, 1, rng=rng)),
+            ("conv3", Conv2D(c2, c3, rng=rng)),
             ("relu3", ReLU()),
             ("flatten", Flatten()),
             ("fc", Dense(c3 * num_categories * k, head_width, rng=rng)),
@@ -317,9 +309,9 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
             raise ValidationError("the 1-D conv head consumes the count column only; use subset 'pc'")
         c1, c2 = pc_channels
         head = Sequential([
-            ("conv1", Conv1D(1, c1, 3, 1, 1, rng=rng)),
+            ("conv1", Conv1D(1, c1, rng=rng)),
             ("relu1", ReLU()),
-            ("conv2", Conv1D(c1, c2, 3, 1, 1, rng=rng)),
+            ("conv2", Conv1D(c1, c2, rng=rng)),
             ("relu2", ReLU()),
             ("flatten", Flatten()),
             ("fc", Dense(c2 * num_categories, head_width, rng=rng)),

@@ -3,6 +3,7 @@ from .tensor import Tensor
 from .layers import (
     ShapeError,
     LayerSpec,
+    Layer,
     Conv2D,
     Conv1D,
     Dense,
@@ -26,6 +27,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "LayerSpec",
+    "Layer",
     "Conv2D",
     "Conv1D",
     "Dense",

@@ -1,6 +1,6 @@
 """Finite-difference verification of model gradients.
 
-Central differences with step h=1e-6 on f64. Each parameter block is
+Central differences with step h = ``STEP`` = 1e-6 on f64. Each parameter block is
 compared as a vector over its checked entries:
 
     rel_err = ||a - n|| / max(1e-8, ||a|| + ||n||)
@@ -23,6 +23,7 @@ from ..mask import ValidationError
 from .loss import softmax_cross_entropy
 
 MAX_EXHAUSTIVE_PARAMS = 100_000
+STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,15 @@ def grad_check(
     labels: np.ndarray,
     *,
     tolerance: float = 1e-4,
-    step: float = 1e-6,
     sample_per_block: int | None = None,
     rng: np.random.Generator | None = None,
     loss_fn=softmax_cross_entropy,
 ) -> GradCheckReport:
     """Compare every parameter block's analytic gradient against central differences."""
+    if len(labels) == 0:
+        raise ValidationError("gradient check needs a non-empty batch")
+    if sample_per_block is not None and sample_per_block < 1:
+        raise ValidationError(f"sample_per_block must be >= 1, got {sample_per_block}")
     params = model.parameters()
     total = sum(t.size for _, t in params)
     if sample_per_block is None and total > MAX_EXHAUSTIVE_PARAMS:
@@ -129,12 +133,12 @@ def grad_check(
         numeric = np.empty(len(indices))
         for pos, idx in enumerate(indices):
             saved = flat[idx]
-            flat[idx] = saved + step
+            flat[idx] = saved + STEP
             up = loss_only()
-            flat[idx] = saved - step
+            flat[idx] = saved - STEP
             down = loss_only()
             flat[idx] = saved
-            numeric[pos] = (up - down) / (2.0 * step)
+            numeric[pos] = (up - down) / (2.0 * STEP)
         a = grad_flat[indices]
         norm_a = float(np.linalg.norm(a))
         norm_n = float(np.linalg.norm(numeric))

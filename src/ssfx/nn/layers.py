@@ -1,14 +1,16 @@
 """Network layers with explicit forward/backward passes.
 
-Convolutions are cross-correlations with zero padding, computed as GEMMs
-over an im2col matrix (Chellapilla et al., 2006): forward copies every
-receptive window of a channels-last padded input into one row of a
-``(B*Ho*Wo, C*kh*kw)`` matrix, multiplies it by the flattened kernel once,
-and keeps the matrix for backward. Backward gets the weight gradient as one
-GEMM with that matrix and the input gradient as one GEMM per kernel tap,
-scatter-added into a padded buffer. ``Conv1D`` is a height-1 ``Conv2D``.
-Every layer caches what its backward pass needs during forward; calling
-backward without a cached forward is a usage error.
+Convolutions are stride-1 cross-correlations with zero padding, the only
+kind ssfx's heads use, computed as GEMMs over an im2col matrix
+(Chellapilla et al., 2006): forward copies every receptive window of a
+channels-last padded input into one row of a ``(B*Ho*Wo, C*kh*kw)``
+matrix, multiplies it by the flattened kernel once, and keeps the matrix
+for backward. Backward gets the weight gradient as one GEMM with that
+matrix and the input gradient as one GEMM per kernel tap, scatter-added
+into a padded buffer. ``Conv1D`` is a height-1 ``Conv2D``.
+Every layer caches what its backward pass needs during forward (``Layer``
+holds that contract); calling backward without a cached forward is a
+usage error.
 
 The two largest arrays of a training step live from one step to the next
 instead of being allocated fresh each time: a conv layer writes its im2col
@@ -31,6 +33,7 @@ from .tensor import Tensor
 __all__ = [
     "ShapeError",
     "LayerSpec",
+    "Layer",
     "Conv2D",
     "Conv1D",
     "Dense",
@@ -54,7 +57,6 @@ class LayerSpec:
     in_channels: int = 0
     out_channels: int = 0
     kernel_size: int = 0
-    stride: int = 1
     padding: int = 0
 
     def __post_init__(self) -> None:
@@ -62,7 +64,7 @@ class LayerSpec:
         if self.kind not in kinds:
             raise ValidationError(f"unknown layer kind {self.kind!r}")
         if self.kind.startswith("conv"):
-            if self.kernel_size < 1 or self.stride < 1 or self.padding < 0:
+            if self.kernel_size < 1 or self.padding < 0:
                 raise ValidationError(f"invalid conv geometry {self!r}")
 
 
@@ -71,14 +73,41 @@ def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) ->
     return rng.uniform(-limit, limit, size=shape)
 
 
-def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    out = (size + 2 * padding - kernel) // stride + 1
+def conv_output_size(size: int, kernel: int, padding: int) -> int:
+    out = size + 2 * padding - kernel + 1
     if out < 1:
-        raise ShapeError(f"conv output size {out} for input {size}, kernel {kernel}, stride {stride}, padding {padding}")
+        raise ShapeError(f"conv output size {out} for input {size}, kernel {kernel}, padding {padding}")
     return out
 
 
-class Conv2D:
+class Layer:
+    """What every layer shares: no parameters and no FLOPs unless it says
+    otherwise, and a forward cache that one backward call consumes."""
+
+    _cache = None
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        return []
+
+    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return 0, self.out_shape(in_shape)
+
+    def release(self) -> None:
+        """Drop the forward cache and the parameters' spare gradients."""
+        self._cache = None
+        for _, tensor in self.params():
+            tensor.release()
+
+    def _take_cache(self):
+        """Hand backward what forward cached, and clear it."""
+        cache = self._cache
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__.lower()} backward called before forward")
+        self._cache = None
+        return cache
+
+
+class Conv2D(Layer):
     """2-D cross-correlation over (batch, channels, height, width) inputs."""
 
     kind = "conv2d"
@@ -88,12 +117,11 @@ class Conv2D:
         in_channels: int,
         out_channels: int,
         kernel_size: int = 3,
-        stride: int = 1,
-        padding: int = 1,
         *,
+        padding: int = 1,
         rng: np.random.Generator | None = None,
     ) -> None:
-        self.spec = LayerSpec(self.kind, in_channels, out_channels, kernel_size, stride, padding)
+        self.spec = LayerSpec(self.kind, in_channels, out_channels, kernel_size, padding)
         kh, kw, _, _ = self._geometry()
         shape = self._weight_shape()
         if rng is None:
@@ -102,7 +130,6 @@ class Conv2D:
             weight = he_uniform(rng, shape, in_channels * kh * kw)
         self.weight = Tensor(weight)
         self.bias = Tensor(np.zeros(out_channels))
-        self._cache = None
         self._workspace: np.ndarray | None = None
 
     def _geometry(self) -> tuple[int, int, int, int]:
@@ -122,8 +149,8 @@ class Conv2D:
         s = self.spec
         if c != s.in_channels:
             raise ShapeError(f"conv2d expects {s.in_channels} input channels, got {c}")
-        return (b, s.out_channels, conv_output_size(h, s.kernel_size, s.stride, s.padding),
-                conv_output_size(w, s.kernel_size, s.stride, s.padding))
+        return (b, s.out_channels, conv_output_size(h, s.kernel_size, s.padding),
+                conv_output_size(w, s.kernel_size, s.padding))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -131,25 +158,17 @@ class Conv2D:
         self.out_shape(x.shape)
         return self._forward(x)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.kind} backward called before forward")
-        return self._backward(grad_out)
-
     def _forward(self, x: np.ndarray) -> np.ndarray:
         kh, kw, ph, pw = self._geometry()
         w4 = self.weight.data.reshape(self.spec.out_channels, self.spec.in_channels, kh, kw)
         o, c = w4.shape[:2]
-        st = self.spec.stride
         b, _, h, w = x.shape
-        ho = conv_output_size(h, kh, st, ph)
-        wo = conv_output_size(w, kw, st, pw)
         # Channels-last padded input; its windows flattened in (i, j, c)
         # order are the rows of the column matrix.
         padded = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
         padded[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
         windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        windows = windows[:, ::st, ::st][:, :ho, :wo]            # (b, ho, wo, c, kh, kw)
+        ho, wo = windows.shape[1:3]                              # (b, ho, wo, c, kh, kw)
         cols = self._columns(b * ho * wo, kh * kw * c)
         np.copyto(cols.reshape(b, ho, wo, kh, kw, c), windows.transpose(0, 1, 2, 4, 5, 3))
         out = cols @ w4.transpose(0, 2, 3, 1).reshape(o, kh * kw * c).T
@@ -157,12 +176,11 @@ class Conv2D:
         self._cache = (x.shape, cols)
         return out.reshape(b, ho, wo, o).transpose(0, 3, 1, 2)
 
-    def _backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, cols = self._cache
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        x_shape, cols = self._take_cache()
         kh, kw, ph, pw = self._geometry()
         w4 = self.weight.data.reshape(self.spec.out_channels, self.spec.in_channels, kh, kw)
         o, c = w4.shape[:2]
-        st = self.spec.stride
         b, _, h, w = x_shape
         ho, wo = grad_out.shape[2], grad_out.shape[3]
         g = grad_out.transpose(0, 2, 3, 1).reshape(b * ho * wo, o)
@@ -177,9 +195,7 @@ class Conv2D:
         grad_padded = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
         for i in range(kh):
             for j in range(kw):
-                grad_padded[:, i : i + st * ho : st, j : j + st * wo : st, :] += (
-                    (g @ taps[i, j]).reshape(b, ho, wo, c))
-        self._cache = None
+                grad_padded[:, i : i + ho, j : j + wo, :] += (g @ taps[i, j]).reshape(b, ho, wo, c)
         return grad_padded[:, ph : ph + h, pw : pw + w, :].transpose(0, 3, 1, 2)
 
     def _columns(self, rows: int, width: int) -> np.ndarray:
@@ -191,9 +207,8 @@ class Conv2D:
 
     def release(self) -> None:
         """Drop the forward cache, the im2col workspace and spare gradients."""
-        self._cache = self._workspace = None
-        self.weight.release()
-        self.bias.release()
+        super().release()
+        self._workspace = None
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
@@ -223,7 +238,7 @@ class Conv1D(Conv2D):
         s = self.spec
         if c != s.in_channels:
             raise ShapeError(f"conv1d expects {s.in_channels} input channels, got {c}")
-        return (b, s.out_channels, conv_output_size(n, s.kernel_size, s.stride, s.padding))
+        return (b, s.out_channels, conv_output_size(n, s.kernel_size, s.padding))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
@@ -232,9 +247,7 @@ class Conv1D(Conv2D):
         return self._forward(x[:, :, None, :])[:, :, 0, :]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.kind} backward called before forward")
-        return self._backward(grad_out[:, :, None, :])[:, :, 0, :]
+        return super().backward(grad_out[:, :, None, :])[:, :, 0, :]
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
@@ -243,7 +256,7 @@ class Conv1D(Conv2D):
         return flops, out_shape
 
 
-class Dense:
+class Dense(Layer):
     """Affine layer y = W x + b with W of shape (out_features, in_features)."""
 
     def __init__(
@@ -260,7 +273,6 @@ class Dense:
             weight = he_uniform(rng, (out_features, in_features), in_features)
         self.weight = Tensor(weight)
         self.bias = Tensor(np.zeros(out_features))
-        self._cache = None
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -279,36 +291,20 @@ class Dense:
         return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("dense backward called before forward")
-        x = self._cache
+        x = self._take_cache()
         self.weight.add_grad(np.matmul(grad_out.T, x, out=self.weight.grad_buffer()))
         self.bias.add_grad(grad_out.sum(axis=0))
-        grad_in = grad_out @ self.weight.data
-        self._cache = None
-        return grad_in
-
-    def release(self) -> None:
-        """Drop the forward cache and spare gradients."""
-        self._cache = None
-        self.weight.release()
-        self.bias.release()
+        return grad_out @ self.weight.data
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
         return 2 * self.spec.in_channels * self.spec.out_channels, out_shape
 
 
-class ReLU:
+class ReLU(Layer):
     """Elementwise max(x, 0); the subgradient at exactly 0 is 0."""
 
     spec = LayerSpec("relu")
-
-    def __init__(self) -> None:
-        self._cache = None
-
-    def params(self) -> list[tuple[str, Tensor]]:
-        return []
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return in_shape
@@ -318,29 +314,13 @@ class ReLU:
         return np.where(self._cache, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("relu backward called before forward")
-        grad_in = np.where(self._cache, grad_out, 0.0)
-        self._cache = None
-        return grad_in
-
-    def release(self) -> None:
-        self._cache = None
-
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return 0, in_shape
+        return np.where(self._take_cache(), grad_out, 0.0)
 
 
-class Flatten:
+class Flatten(Layer):
     """Collapse every non-batch axis, C-order."""
 
     spec = LayerSpec("flatten")
-
-    def __init__(self) -> None:
-        self._cache = None
-
-    def params(self) -> list[tuple[str, Tensor]]:
-        return []
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         n = 1
@@ -353,17 +333,7 @@ class Flatten:
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("flatten backward called before forward")
-        grad_in = grad_out.reshape(self._cache)
-        self._cache = None
-        return grad_in
-
-    def release(self) -> None:
-        self._cache = None
-
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return 0, self.out_shape(in_shape)
+        return grad_out.reshape(self._take_cache())
 
 
 class Sequential:

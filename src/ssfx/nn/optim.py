@@ -24,18 +24,13 @@ from .tensor import Tensor
 # parameter, gradient, both moments and both scratch arrays stays in cache
 # across the dozen passes the update makes over it.
 BLOCK = 32768
+# The moments of Kingma & Ba ("Adam", ICLR 2015); every ssfx model trains with them.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    def __init__(
-        self,
-        params: list[tuple[str, Tensor]],
-        learning_rate: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, params: list[tuple[str, Tensor]], learning_rate: float,
+                 weight_decay: float = 0.0) -> None:
         if learning_rate <= 0:
             raise ValidationError(f"learning rate must be positive, got {learning_rate}")
         if weight_decay < 0:
@@ -44,14 +39,9 @@ class Adam:
             raise ValidationError(
                 f"learning rate x weight decay must be below 1, got {learning_rate} x "
                 f"{weight_decay}: the decay shrink factor would be zero or negative")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValidationError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.params = list(params)
         self.lr = learning_rate
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros(t.data.size) for _, t in self.params]
         self._v = [np.zeros(t.data.size) for _, t in self.params]
@@ -62,8 +52,8 @@ class Adam:
         """Apply one update using each parameter's accumulated gradient."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for (name, p), m, v in zip(self.params, self._m, self._v):
             g = p.grad
             self._update(_flat(name, p.data), None if g is None else _flat(name, g), m, v,
@@ -71,7 +61,7 @@ class Adam:
 
     def _update(self, p: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray,
                 bc1: float, bc2: float) -> None:
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         shrink = 1.0 - lr * self.weight_decay
         s1, s2 = self._scratch
         for lo in range(0, p.size, BLOCK):
@@ -100,10 +90,6 @@ class Adam:
             b += eps
             a /= b
             pb -= a
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
 
 
 def _flat(name: str, arr: np.ndarray) -> np.ndarray:

@@ -93,9 +93,9 @@ def random_mask_grid(rng: np.random.Generator, num_categories: int,
     return grid.astype(np.uint16)
 
 
-def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
-               pad_h: int, pad_w: int, grad_out: np.ndarray | None = None):
-    """Loop cross-correlation of (B, C, H, W) input with an (O, C, kh, kw) kernel.
+def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad_h: int, pad_w: int,
+               grad_out: np.ndarray | None = None):
+    """Loop stride-1 cross-correlation of (B, C, H, W) input with an (O, C, kh, kw) kernel.
 
     Returns the output, or with ``grad_out`` the gradients of
     ``sum(output * grad_out)`` with respect to the input, kernel and bias.
@@ -104,21 +104,20 @@ def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     o, _, kh, kw = w.shape
     xp = np.zeros((bsz, c, h + 2 * pad_h, wd + 2 * pad_w))
     xp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd] = x
-    ho = (h + 2 * pad_h - kh) // stride + 1
-    wo = (wd + 2 * pad_w - kw) // stride + 1
+    ho = h + 2 * pad_h - kh + 1
+    wo = wd + 2 * pad_w - kw + 1
     out = np.zeros((bsz, o, ho, wo))
     grad_xp, grad_w = np.zeros_like(xp), np.zeros_like(w)
     for n in range(bsz):
         for y in range(ho):
             for z in range(wo):
-                window = xp[n, :, y * stride : y * stride + kh, z * stride : z * stride + kw]
+                window = xp[n, :, y : y + kh, z : z + kw]
                 for k in range(o):
                     if grad_out is None:
                         out[n, k, y, z] = float((window * w[k]).sum()) + b[k]
                     else:
                         grad_w[k] += grad_out[n, k, y, z] * window
-                        grad_xp[n, :, y * stride : y * stride + kh,
-                                z * stride : z * stride + kw] += grad_out[n, k, y, z] * w[k]
+                        grad_xp[n, :, y : y + kh, z : z + kw] += grad_out[n, k, y, z] * w[k]
     if grad_out is None:
         return out
     grad_x = grad_xp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd]

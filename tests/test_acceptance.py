@@ -151,7 +151,7 @@ def test_gradient_suite_layers_heads_and_negative_control():
     head_reports = {}
     for kind in ("nn", "cnn"):
         model = build_semantic_classifier(kind, FULL, 40, 7, np.random.default_rng(3))
-        report = grad_check(model, ssf, None, labels, tolerance=tol, step=1e-6,
+        report = grad_check(model, ssf, None, labels, tolerance=tol,
                             sample_per_block=16, rng=np.random.default_rng(4))
         head_reports[kind] = report
 
@@ -160,7 +160,7 @@ def test_gradient_suite_layers_heads_and_negative_control():
         build_semantic_classifier("nn", FULL, 8, 3, np.random.default_rng(5)),
         "head.fc1.weight")
     control = grad_check(bad, check_rng.uniform(0.0, 1.0, (2, 8, 5)), None,
-                         np.array([0, 2]), tolerance=tol, step=1e-6,
+                         np.array([0, 2]), tolerance=tol,
                          sample_per_block=16, rng=np.random.default_rng(6))
 
     elapsed = time.perf_counter() - start

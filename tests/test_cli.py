@@ -192,6 +192,31 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
             assert "Is a directory" in err
 
+    @pytest.mark.parametrize("command", ["train", "extract"])
+    def test_manifest_too_large_to_allocate_is_one_line_data_error(self, synth_dir, tmp_path,
+                                                                   capsys, command):
+        # 10^9 categories: each 32x32 mask's histograms would take 238 GiB.
+        big_dir = tmp_path / "big_set"
+        shutil.copytree(synth_dir, big_dir)
+        lines = (big_dir / "dataset.manifest").read_text().splitlines()
+        header = {**json.loads(lines[0]), "num_categories": 1_000_000_000}
+        path = big_dir / "big.manifest"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        rc = main([command, "--manifest", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: ")
+        assert not (tmp_path / "o" / "model.ssfc").exists()
+
+    def test_extract_threads_below_one_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "m.pgm"
+        make_pgm(p)
+        rc = main(["extract", str(p), "--L", "3", "--threads", "-3", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "threads must be >= 1, got -3" in err
+        assert not (tmp_path / "o").exists()
+
     def test_learning_rate_times_decay_at_one_exits_1_without_checkpoint(self, synth_dir,
                                                                         tmp_path, capsys):
         run = tmp_path / "run"

@@ -126,6 +126,21 @@ class TestGradCheckGuards:
         with pytest.raises(ValidationError, match="sample_per_block"):
             grad_check(model, ssf, None, labels)
 
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sample_per_block_below_one_rejected(self, sample):
+        rng = np.random.default_rng(10)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
+        ssf, _, labels = small_inputs(rng)
+        with pytest.raises(ValidationError, match=f"sample_per_block must be >= 1, got {sample}"):
+            grad_check(model, ssf, None, labels, sample_per_block=sample)
+
+    def test_empty_batch_rejected(self):
+        rng = np.random.default_rng(11)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
+        ssf, _, labels = small_inputs(rng, batch=0)
+        with pytest.raises(ValidationError, match="non-empty batch"):
+            grad_check(model, ssf, None, labels)
+
     def test_sampling_checks_at_most_requested_entries(self):
         rng = np.random.default_rng(8)
         model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))

@@ -17,19 +17,19 @@ class TestConv2DForward:
     def test_ones_kernel_counts_neighbourhood(self):
         # 3x3 ones input, 3x3 ones kernel, pad 1: corners see 4 cells,
         # edges 6, the center all 9.
-        conv = Conv2D(1, 1, kernel_size=3, stride=1, padding=1)
+        conv = Conv2D(1, 1, kernel_size=3, padding=1)
         conv.weight.data[:] = 1.0
         out = conv.forward(np.ones((1, 1, 3, 3)))[0, 0]
         np.testing.assert_array_equal(out, [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_output_dims_follow_floor_formula(self):
-        for h, w, k, s, p in [(7, 5, 3, 1, 1), (8, 8, 3, 2, 1), (9, 4, 2, 3, 0), (5, 5, 5, 1, 2)]:
-            conv = Conv2D(2, 3, kernel_size=k, stride=s, padding=p)
+        for h, w, k, p in [(7, 5, 3, 1), (8, 8, 3, 0), (9, 4, 2, 0), (5, 5, 5, 2)]:
+            conv = Conv2D(2, 3, kernel_size=k, padding=p)
             out = conv.forward(np.zeros((1, 2, h, w)))
-            assert out.shape == (1, 3, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+            assert out.shape == (1, 3, h + 2 * p - k + 1, w + 2 * p - k + 1)
 
     def test_bias_added_per_channel(self):
-        conv = Conv2D(1, 2, kernel_size=1, stride=1, padding=0)
+        conv = Conv2D(1, 2, kernel_size=1, padding=0)
         conv.weight.data[:] = 0.0
         conv.bias.data[:] = [1.5, -2.0]
         out = conv.forward(np.zeros((1, 1, 2, 2)))
@@ -40,15 +40,10 @@ class TestConv2DForward:
         with pytest.raises(ShapeError, match="3 input channels"):
             conv.forward(np.zeros((1, 2, 4, 4)))
 
-    def test_backward_before_forward_rejected(self):
-        conv = Conv2D(1, 1)
-        with pytest.raises(RuntimeError, match="before forward"):
-            conv.backward(np.zeros((1, 1, 2, 2)))
-
 
 class TestConv1DForward:
     def test_ones_kernel_on_ones_input(self):
-        conv = Conv1D(1, 1, kernel_size=3, stride=1, padding=1)
+        conv = Conv1D(1, 1, kernel_size=3, padding=1)
         conv.weight.data[:] = 1.0
         out = conv.forward(np.ones((1, 1, 5)))[0, 0]
         np.testing.assert_array_equal(out, [2, 3, 3, 3, 2])
@@ -87,16 +82,52 @@ class TestFlatten:
         assert back.shape == x.shape
 
 
+# One small instance and input shape per layer kind, for the contract every
+# layer shares: a forward cache that one backward consumes and release drops.
+LAYER_KINDS = {
+    "conv2d": (lambda: Conv2D(2, 3), (2, 2, 4, 3)),
+    "conv1d": (lambda: Conv1D(2, 3), (2, 2, 5)),
+    "dense": (lambda: Dense(4, 3), (2, 4)),
+    "relu": (ReLU, (3, 4)),
+    "flatten": (Flatten, (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("kind", list(LAYER_KINDS))
+def test_backward_before_forward_rejected(kind):
+    make, in_shape = LAYER_KINDS[kind]
+    layer = make()
+    probe = np.zeros(layer.out_shape(in_shape))
+    with pytest.raises(RuntimeError, match=f"{kind} backward called before forward"):
+        layer.backward(probe)
+    # One forward serves one backward.
+    layer.forward(np.ones(in_shape))
+    layer.backward(probe)
+    with pytest.raises(RuntimeError, match="before forward"):
+        layer.backward(probe)
+
+
+@pytest.mark.parametrize("kind", list(LAYER_KINDS))
+def test_release_leaves_no_forward_cache(kind):
+    make, in_shape = LAYER_KINDS[kind]
+    layer = make()
+    layer.forward(np.ones(in_shape))
+    assert layer._cache is not None
+    layer.release()
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="before forward"):
+        layer.backward(np.zeros(layer.out_shape(in_shape)))
+
+
 def random_conv2d_case(rng):
     cin = int(rng.integers(1, 4))
     cout = int(rng.integers(1, 4))
     k = int(rng.integers(1, 4))
-    s = int(rng.integers(1, 3))
     p = int(rng.integers(0, 3))
     h = int(rng.integers(k, k + 5))
     w = int(rng.integers(k, k + 5))
     b = int(rng.integers(1, 3))
-    layer = Conv2D(cin, cout, k, s, p, rng=rng)
+    layer = Conv2D(cin, cout, k, padding=p, rng=rng)
     x = rng.standard_normal((b, cin, h, w))
     return layer, x
 
@@ -105,11 +136,10 @@ def random_conv1d_case(rng):
     cin = int(rng.integers(1, 4))
     cout = int(rng.integers(1, 4))
     k = int(rng.integers(1, 4))
-    s = int(rng.integers(1, 3))
     p = int(rng.integers(0, 3))
     n = int(rng.integers(k, k + 8))
     b = int(rng.integers(1, 3))
-    layer = Conv1D(cin, cout, k, s, p, rng=rng)
+    layer = Conv1D(cin, cout, k, padding=p, rng=rng)
     x = rng.standard_normal((b, cin, n))
     return layer, x
 
@@ -174,13 +204,13 @@ def test_conv_matches_loop_oracle_on_random_shapes(case, seed):
         x4 = x if x.ndim == 4 else x[:, :, None, :]
         layer.bias.data[:] = rng.standard_normal(s.out_channels)
         out = layer.forward(x.copy())
-        want = naive_conv(x4, w4, layer.bias.data, s.stride, pad_h, s.padding)
+        want = naive_conv(x4, w4, layer.bias.data, pad_h, s.padding)
         np.testing.assert_allclose(out, want.reshape(out.shape), rtol=1e-12, atol=1e-12)
 
         probe = rng.standard_normal(out.shape)
         grad_x = layer.backward(probe.copy())
-        want_x, want_w, want_b = naive_conv(x4, w4, layer.bias.data, s.stride, pad_h,
-                                            s.padding, probe.reshape(want.shape))
+        want_x, want_w, want_b = naive_conv(x4, w4, layer.bias.data, pad_h, s.padding,
+                                            probe.reshape(want.shape))
         np.testing.assert_allclose(grad_x, want_x.reshape(x.shape), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(layer.weight.grad, want_w.reshape(layer.weight.shape),
                                    rtol=1e-12, atol=1e-12)
@@ -201,8 +231,8 @@ def test_gradients_accumulate_across_backward_calls():
 
 
 @pytest.mark.parametrize("make", [lambda rng: Dense(6, 5, rng=rng),
-                                  lambda rng: Conv2D(2, 3, 3, 1, 1, rng=rng),
-                                  lambda rng: Conv1D(2, 3, 3, 1, 1, rng=rng)],
+                                  lambda rng: Conv2D(2, 3, rng=rng),
+                                  lambda rng: Conv1D(2, 3, rng=rng)],
                          ids=["dense", "conv2d", "conv1d"])
 def test_reused_buffers_carry_no_stale_state(make):
     """Gradients and conv columns written into reused arrays match a fresh layer's."""
