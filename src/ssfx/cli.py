@@ -37,6 +37,7 @@ from .features import FeatureSubset, extract_ssf
 from .io import FormatError, load_mask, write_feature_csv, write_feature_matrix
 from .mask import SegmentationMask, ValidationError
 from .models import (
+    BATCH_SIZE,
     FusionConfig,
     TrainPlan,
     build_fusion_classifier,
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature groups, e.g. pc,ap,sd")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=int, default=BATCH_SIZE)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--weight-decay", type=float, default=5e-4)
     p.add_argument("--from-checkpoint", type=Path, help="step-1 checkpoint to build step 2 on")
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=int, default=BATCH_SIZE)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=5e-4)
     p.add_argument("--threads", type=int, default=1)
@@ -299,7 +300,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(ckpt, args.out / "model.ssfc")
     with open(args.out / "metrics.jsonl", "w") as fh:
         for m in metrics:
-            fh.write(json.dumps(m, sort_keys=True) + "\n")
+            fh.write(json.dumps(m, sort_keys=True, allow_nan=False) + "\n")
     _record(args.out, "train", args)
     last = ckpt.metadata["final_metrics"]
     print(f"trained {stage} for {args.epochs} epochs -> {args.out / 'model.ssfc'}")
@@ -345,6 +346,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     L, C, B = args.num_categories, args.classes, args.batch
+    if B < 1:
+        raise ValidationError(f"batch must be >= 1, got {B}")
     subset = FeatureSubset(pc=True, ap=False, sd=False) if args.model == "pc1d" else FeatureSubset()
     if args.model == "fusion":
         cfg = FusionConfig(global_input_width=8, num_classes=C, global_width=16,
@@ -418,6 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

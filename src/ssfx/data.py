@@ -37,6 +37,7 @@ __all__ = [
     "load_manifest",
     "save_manifest",
     "load_dataset",
+    "ordered_batches",
     "shuffled_batches",
     "benchmark_spec",
     "split_information_spec",
@@ -222,18 +223,22 @@ def load_dataset(manifest: DatasetManifest, threads: int = 1) -> LoadedDataset:
                          global_vecs=global_vecs)
 
 
-def shuffled_batches(indices: np.ndarray, batch_size: int, seed: int, epoch: int
-                     ) -> list[np.ndarray]:
-    """Deterministic per-epoch shuffle of the given indices, cut into batches.
-
-    The final short batch is kept. The order depends only on (seed, epoch).
-    """
+def ordered_batches(indices: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """The given indices, in order, cut into batches; the final short batch is kept."""
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    return [indices[i : i + batch_size] for i in range(0, len(indices), batch_size)]
+
+
+def shuffled_batches(indices: np.ndarray, batch_size: int, seed: int, epoch: int
+                     ) -> list[np.ndarray]:
+    """Deterministic per-epoch shuffle of the given indices, cut into ``ordered_batches``.
+
+    The order depends only on (seed, epoch).
+    """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
     order = rng.permutation(len(indices))
-    shuffled = np.asarray(indices)[order]
-    return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
+    return ordered_batches(np.asarray(indices)[order], batch_size)
 
 
 # --- synthetic data ---------------------------------------------------------

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LoadedDataset
+from .data import LoadedDataset, ordered_batches
 from .features import FeatureSubset
 from .mask import SegmentationMask, ValidationError
-from .models import Model, TrainPlan, build_semantic_classifier, param_count, train
+from .models import (BATCH_SIZE, Model, TrainPlan, build_semantic_classifier, forward_batches,
+                     param_count, train)
 from .nn import CheckpointError
 
 __all__ = [
@@ -68,8 +69,12 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(model, data: LoadedDataset, split: str = "test", batch_size: int = 256) -> EvalReport:
-    """Confusion-matrix evaluation of a classifier over one split."""
+def evaluate(model, data: LoadedDataset, split: str = "test") -> EvalReport:
+    """Confusion-matrix evaluation of a classifier over one split.
+
+    Runs forward passes in batches of the training batch size, then releases
+    the model's buffers.
+    """
     idx = {"train": data.train_idx, "test": data.test_idx}.get(split)
     if idx is None:
         raise ValidationError(f"unknown split {split!r}")
@@ -77,12 +82,11 @@ def evaluate(model, data: LoadedDataset, split: str = "test", batch_size: int = 
         raise ValidationError(f"split {split!r} is empty")
     c = data.num_classes
     confusion = np.zeros((c, c), dtype=np.int64)
-    for start in range(0, len(idx), batch_size):
-        sel = idx[start : start + batch_size]
-        g = None if data.global_vecs is None else data.global_vecs[sel]
-        logits = model.forward(data.ssf[sel], g)
-        pred = np.argmax(logits, axis=1)
-        np.add.at(confusion, (data.labels[sel], pred), 1)
+    try:
+        for logits, labels in forward_batches(model, data, ordered_batches(idx, BATCH_SIZE)):
+            np.add.at(confusion, (labels, np.argmax(logits, axis=1)), 1)
+    finally:
+        model.release()
     support = confusion.sum(axis=1)
     per_class = tuple(
         float(confusion[i, i] / support[i]) if support[i] else 0.0 for i in range(c)
@@ -122,7 +126,7 @@ class AblationGrid:
                            "accuracy": c.accuracy, "error": c.error} for c in self.cells]}
 
 
-def run_ablation(data: LoadedDataset, epochs: int = 60, batch_size: int = 32,
+def run_ablation(data: LoadedDataset, epochs: int = 60, batch_size: int = BATCH_SIZE,
                  learning_rate: float = 1e-3, weight_decay: float = 5e-4,
                  seed: int = 0) -> AblationGrid:
     """Train one semantic classifier per (subset, head) pair and report test accuracy.
@@ -180,7 +184,7 @@ def measure_complexity(model: Model, iterations: int = 1000,
 
     FLOPs follow the multiply-accumulate convention (one MAC = 2 FLOPs,
     biases and activations not counted). Throughput excludes everything but
-    the forward pass.
+    the forward pass, and the model's buffers are released after it.
     """
     if iterations < 1000:
         raise ValidationError(f"throughput needs >= 1000 measured iterations, got {iterations}")
@@ -188,12 +192,15 @@ def measure_complexity(model: Model, iterations: int = 1000,
     params = param_count(model)
 
     sample_ssf, sample_global = model.sample_inputs()
-    for _ in range(warmup):
-        model.forward(sample_ssf, sample_global)
-    start = time.perf_counter()
-    for _ in range(iterations):
-        model.forward(sample_ssf, sample_global)
-    elapsed = time.perf_counter() - start
+    try:
+        for _ in range(warmup):
+            model.forward(sample_ssf, sample_global)
+        start = time.perf_counter()
+        for _ in range(iterations):
+            model.forward(sample_ssf, sample_global)
+        elapsed = time.perf_counter() - start
+    finally:
+        model.release()
     return ComplexityReport(flops=flops, mac_count=flops // 2, param_count=params,
                             throughput_fps=iterations / elapsed,
                             iterations=iterations, warmup=warmup)

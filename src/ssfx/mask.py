@@ -7,9 +7,13 @@ import numpy as np
 
 # Upper bound on mask side length. Feature extraction sums count * position
 # over a category's histogram bins; those sums stay at most h*w*max(h, w),
-# which is 2**42 at 16384 x 16384, so they are exact in f64. The one per-pixel
-# buffer extraction allocates, an intp index, takes 8*h*w bytes: 2 GiB at
-# 16384 x 16384.
+# which is 2**42 at 16384 x 16384, so they are exact in f64. Extraction holds
+# at most two per-pixel buffers at once: an intp index of 8*h*w bytes and,
+# when the void value is nonzero, the remapped copy of the grid that
+# ``category_values`` returns, itemsize*h*w bytes. At 16384 x 16384 that is
+# 2 GiB, plus 0.5 GiB for a uint16 grid. The h*w-byte boolean that makes the
+# copy is freed before the index is allocated; everything else extraction
+# allocates scales with (h+w)*(L+1).
 MAX_SIDE = 16384
 
 

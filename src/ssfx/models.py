@@ -21,11 +21,12 @@ layers. Backward skips a branch whose parameters are all frozen.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LoadedDataset, shuffled_batches
+from .data import LoadedDataset, ordered_batches, shuffled_batches
 from .features import FeatureSubset
 from .mask import ValidationError
 from .nn import (
@@ -44,6 +45,7 @@ from .nn import (
 )
 
 __all__ = [
+    "BATCH_SIZE",
     "CNN_CHANNELS",
     "HEAD_KINDS",
     "STAGES",
@@ -62,8 +64,11 @@ __all__ = [
     "param_count",
     "train",
     "predict",
+    "forward_batches",
 ]
 
+# Samples per training step, and per batch of every forward-only pass.
+BATCH_SIZE = 32
 CNN_CHANNELS = (64, 128, 64)
 HEAD_KINDS = ("cnn", "nn", "pc1d")
 STAGES = ("semantic_only", "step1_global", "step2_fusion")
@@ -92,7 +97,7 @@ class FusionConfig:
 class TrainPlan:
     stage: str
     epochs: int = 100
-    batch_size: int = 32
+    batch_size: int = BATCH_SIZE
     learning_rate: float = 1e-4
     weight_decay: float = 5e-4
     seed: int = 0
@@ -103,8 +108,9 @@ class TrainPlan:
             raise ValidationError(f"unknown training stage {self.stage!r}; expected one of {STAGES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValidationError("learning_rate must be positive and weight_decay non-negative")
+        if not (0 < self.learning_rate < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValidationError("learning_rate must be positive and weight_decay non-negative, "
+                                  "both finite")
 
 
 def _check_widths(**widths) -> None:
@@ -460,22 +466,32 @@ def predict(model, ssf: np.ndarray | None, global_vec: np.ndarray | None = None
     """Classify one sample; ties break toward the lowest class index."""
     ssf_b = None if ssf is None else np.asarray(ssf)[None, :, :]
     g_b = None if global_vec is None else np.asarray(global_vec)[None, :]
-    logits = model.forward(ssf_b, g_b)[0]
+    try:
+        logits = model.forward(ssf_b, g_b)[0]
+    finally:
+        model.release()
     return int(np.argmax(logits)), logits
+
+
+def forward_batches(model, data: LoadedDataset, batches):
+    """Run ``model.forward`` on each index batch in turn; yields its logits and labels.
+
+    Layers cache what a backward pass would need, so a caller that runs no
+    backward calls ``model.release()`` when it is done.
+    """
+    for sel in batches:
+        g = None if data.global_vecs is None else data.global_vecs[sel]
+        yield model.forward(data.ssf[sel], g), data.labels[sel]
 
 
 def _run_split(model, data: LoadedDataset, idx: np.ndarray, batch_size: int) -> tuple[float, float]:
     """Forward-only loss and accuracy over the given sample indices, in order."""
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(idx), batch_size):
-        sel = idx[start : start + batch_size]
-        ssf = data.ssf[sel]
-        g = None if data.global_vecs is None else data.global_vecs[sel]
-        logits = model.forward(ssf, g)
-        loss, _ = softmax_cross_entropy(logits, data.labels[sel])
-        total_loss += loss * len(sel)
-        correct += int((np.argmax(logits, axis=1) == data.labels[sel]).sum())
+    for logits, labels in forward_batches(model, data, ordered_batches(idx, batch_size)):
+        loss, _ = softmax_cross_entropy(logits, labels)
+        total_loss += loss * len(labels)
+        correct += int((np.argmax(logits, axis=1) == labels).sum())
     n = max(1, len(idx))
     return total_loss / n, correct / n
 
@@ -511,12 +527,8 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
         for epoch in range(plan.epochs):
             epoch_loss = 0.0
             correct = 0
-            for batch, sel in enumerate(shuffled_batches(data.train_idx, plan.batch_size,
-                                                         plan.seed, epoch)):
-                ssf = data.ssf[sel]
-                g = None if data.global_vecs is None else data.global_vecs[sel]
-                labels = data.labels[sel]
-                logits = model.forward(ssf, g)
+            batches = shuffled_batches(data.train_idx, plan.batch_size, plan.seed, epoch)
+            for batch, (logits, labels) in enumerate(forward_batches(model, data, batches)):
                 loss, grad = softmax_cross_entropy(logits, labels)
                 if not np.isfinite(loss):
                     raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
@@ -524,10 +536,12 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                 model.backward(grad, frozen)
                 opt.step()
                 model.zero_grad()
-                epoch_loss += loss * len(sel)
+                epoch_loss += loss * len(labels)
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
             n_train = max(1, len(data.train_idx))
             test_loss, test_acc = _run_split(model, data, data.test_idx, plan.batch_size)
+            if not np.isfinite(test_loss):
+                raise ArithmeticError(f"training diverged: test loss {test_loss} at epoch {epoch}")
             metrics.append({"epoch": epoch, "split": "train",
                             "loss": epoch_loss / n_train, "accuracy": correct / n_train})
             metrics.append({"epoch": epoch, "split": "test",
@@ -538,6 +552,10 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
         del opt
         model.release()
 
+    for name, t in model.parameters():
+        if not np.isfinite(t.data).all():
+            raise ArithmeticError(f"training diverged: parameter {name!r} is not finite "
+                                  f"after epoch {plan.epochs - 1}")
     final = {m["split"]: {"loss": m["loss"], "accuracy": m["accuracy"]}
              for m in metrics[-2:]}
     ckpt = Checkpoint(

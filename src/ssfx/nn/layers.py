@@ -1,7 +1,8 @@
 """Network layers with explicit forward/backward passes.
 
-Convolutions are stride-1 cross-correlations with zero padding, the only
-kind ssfx's heads use, computed as GEMMs over an im2col matrix
+Convolutions are 3x3 (3 taps in 1-D) stride-1 cross-correlations with
+zero padding 1, so each keeps its input's spatial size; they are the only
+kind ssfx's heads use. They run as GEMMs over an im2col matrix
 (Chellapilla et al., 2006): forward copies every receptive window of a
 channels-last padded input into one row of a ``(B*Ho*Wo, C*kh*kw)``
 matrix, multiplies it by the flattened kernel once, and keeps the matrix
@@ -19,7 +20,9 @@ larger batch replaces it), and ``Dense`` writes its weight gradient into
 the array its weight's ``zero_grad`` kept (``Tensor.grad_buffer``). Arrays
 this large come straight from the kernel, so a fresh one costs a page fault
 per 4 KiB page on first write. ``release`` drops these buffers and every
-forward cache; ``models.train`` calls it when it returns or raises.
+forward cache; ``models.train`` calls it when it returns or raises, and
+``models.predict``, ``evaluation.evaluate`` and ``measure_complexity`` when
+their forward passes are done.
 """
 from __future__ import annotations
 
@@ -50,34 +53,27 @@ class ShapeError(ValidationError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer's kind and geometry. Checkpoints do
+    """Declarative description of one layer's kind and widths. Checkpoints do
     not store it; they store only the model descriptor the layers are rebuilt from."""
 
     kind: str  # conv2d | conv1d | fully_connected | relu | flatten
     in_channels: int = 0
     out_channels: int = 0
-    kernel_size: int = 0
-    padding: int = 0
 
     def __post_init__(self) -> None:
         kinds = ("conv2d", "conv1d", "fully_connected", "relu", "flatten")
         if self.kind not in kinds:
             raise ValidationError(f"unknown layer kind {self.kind!r}")
-        if self.kind.startswith("conv"):
-            if self.kernel_size < 1 or self.padding < 0:
-                raise ValidationError(f"invalid conv geometry {self!r}")
+
+
+# Kernel extent per spatial axis and zero padding of every conv.
+KERNEL = 3
+PADDING = 1
 
 
 def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def conv_output_size(size: int, kernel: int, padding: int) -> int:
-    out = size + 2 * padding - kernel + 1
-    if out < 1:
-        raise ShapeError(f"conv output size {out} for input {size}, kernel {kernel}, padding {padding}")
-    return out
 
 
 class Layer:
@@ -111,46 +107,37 @@ class Conv2D(Layer):
     """2-D cross-correlation over (batch, channels, height, width) inputs."""
 
     kind = "conv2d"
+    kernel_shape = (KERNEL, KERNEL)
 
     def __init__(
         self,
         in_channels: int,
         out_channels: int,
-        kernel_size: int = 3,
         *,
-        padding: int = 1,
         rng: np.random.Generator | None = None,
     ) -> None:
-        self.spec = LayerSpec(self.kind, in_channels, out_channels, kernel_size, padding)
-        kh, kw, _, _ = self._geometry()
-        shape = self._weight_shape()
+        self.spec = LayerSpec(self.kind, in_channels, out_channels)
+        shape = (out_channels, in_channels, *self.kernel_shape)
         if rng is None:
             weight = np.zeros(shape)
         else:
-            weight = he_uniform(rng, shape, in_channels * kh * kw)
+            weight = he_uniform(rng, shape, in_channels * int(np.prod(self.kernel_shape)))
         self.weight = Tensor(weight)
         self.bias = Tensor(np.zeros(out_channels))
         self._workspace: np.ndarray | None = None
 
     def _geometry(self) -> tuple[int, int, int, int]:
         """Kernel height and width, then zero padding along height and width."""
-        s = self.spec
-        return s.kernel_size, s.kernel_size, s.padding, s.padding
-
-    def _weight_shape(self) -> tuple[int, ...]:
-        s = self.spec
-        return (s.out_channels, s.in_channels, s.kernel_size, s.kernel_size)
+        return KERNEL, KERNEL, PADDING, PADDING
 
     def params(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        b, c, h, w = in_shape
-        s = self.spec
-        if c != s.in_channels:
-            raise ShapeError(f"conv2d expects {s.in_channels} input channels, got {c}")
-        return (b, s.out_channels, conv_output_size(h, s.kernel_size, s.padding),
-                conv_output_size(w, s.kernel_size, s.padding))
+        if in_shape[1] != self.spec.in_channels:
+            raise ShapeError(f"{self.kind} expects {self.spec.in_channels} input channels, "
+                             f"got {in_shape[1]}")
+        return (in_shape[0], self.spec.out_channels, *in_shape[2:])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -212,33 +199,21 @@ class Conv2D(Layer):
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
-        s = self.spec
-        flops = 2 * s.kernel_size**2 * s.in_channels * s.out_channels * out_shape[2] * out_shape[3]
-        return flops, out_shape
+        return 2 * self.weight.size * int(np.prod(out_shape[2:])), out_shape
 
 
 class Conv1D(Conv2D):
     """1-D cross-correlation over (batch, channels, length) inputs.
 
-    Runs as a height-1 ``Conv2D`` with a 1 x k kernel; the weight keeps its
-    (out, in, k) shape.
+    Runs as a height-1 ``Conv2D`` with a 1 x 3 kernel; the weight keeps its
+    (out, in, 3) shape.
     """
 
     kind = "conv1d"
+    kernel_shape = (KERNEL,)
 
     def _geometry(self) -> tuple[int, int, int, int]:
-        return 1, self.spec.kernel_size, 0, self.spec.padding
-
-    def _weight_shape(self) -> tuple[int, ...]:
-        s = self.spec
-        return (s.out_channels, s.in_channels, s.kernel_size)
-
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        b, c, n = in_shape
-        s = self.spec
-        if c != s.in_channels:
-            raise ShapeError(f"conv1d expects {s.in_channels} input channels, got {c}")
-        return (b, s.out_channels, conv_output_size(n, s.kernel_size, s.padding))
+        return 1, KERNEL, 0, PADDING
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
@@ -248,12 +223,6 @@ class Conv1D(Conv2D):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return super().backward(grad_out[:, :, None, :])[:, :, 0, :]
-
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        out_shape = self.out_shape(in_shape)
-        s = self.spec
-        flops = 2 * s.kernel_size * s.in_channels * s.out_channels * out_shape[2]
-        return flops, out_shape
 
 
 class Dense(Layer):

@@ -15,6 +15,8 @@ formula above, so the result is bit-identical to it.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..mask import ValidationError
@@ -31,10 +33,10 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Adam:
     def __init__(self, params: list[tuple[str, Tensor]], learning_rate: float,
                  weight_decay: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise ValidationError(f"learning rate must be positive, got {learning_rate}")
-        if weight_decay < 0:
-            raise ValidationError(f"weight decay must be non-negative, got {weight_decay}")
+        if not 0 < learning_rate < math.inf:
+            raise ValidationError(f"learning rate must be positive and finite, got {learning_rate}")
+        if not 0 <= weight_decay < math.inf:
+            raise ValidationError(f"weight decay must be non-negative and finite, got {weight_decay}")
         if learning_rate * weight_decay >= 1:
             raise ValidationError(
                 f"learning rate x weight decay must be below 1, got {learning_rate} x "

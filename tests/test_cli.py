@@ -227,6 +227,38 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "shrink" in err
         assert not (run / "model.ssfc").exists()
 
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf", "--weight-decay", "0"],
+                                       ["--weight-decay", "nan"], ["--weight-decay", "inf"]],
+                             ids=["lr-nan", "lr-inf", "decay-nan", "decay-inf"])
+    def test_non_finite_optimizer_setting_exits_1_without_checkpoint(self, synth_dir, tmp_path,
+                                                                     capsys, flags):
+        run = tmp_path / "run"
+        rc = main(["train", "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--head", "nn", "--epochs", "1", *flags, "--out", str(run)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "finite" in err
+        assert not (run / "model.ssfc").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--seed", "-1"], "seed must be >= 0"),
+        (["ablate", "--seed", "-1"], "seed must be >= 0"),
+        (["synth", "--seed", "-1"], "seed must be >= 0"),
+        (["bench", "--seed", "-1"], "seed must be >= 0"),
+        (["gradcheck", "--seed", "-1"], "seed must be >= 0"),
+        (["gradcheck", "--batch", "-1"], "batch must be >= 1"),
+    ], ids=["train", "ablate", "synth", "bench", "gradcheck", "gradcheck-batch"])
+    def test_negative_seed_or_batch_is_one_line_data_error(self, synth_dir, tmp_path, capsys,
+                                                           argv, message):
+        manifest = ["--manifest", str(synth_dir / "dataset.manifest")]
+        command = argv[0]
+        rc = main([*argv, *(manifest if command in ("train", "ablate") else []),
+                   *(["--out", str(tmp_path / "out")] if command != "gradcheck" else [])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+        assert not (tmp_path / "out" / "model.ssfc").exists()
+
     def test_help_exits_zero_and_names_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["train", "--help"])

@@ -14,7 +14,7 @@ from ssfx.evaluation import (
 )
 from ssfx.features import FeatureSubset
 from ssfx.mask import SegmentationMask, ValidationError
-from ssfx.models import build_semantic_classifier
+from ssfx.models import BATCH_SIZE, build_semantic_classifier
 
 
 class FixedPredictions:
@@ -24,6 +24,7 @@ class FixedPredictions:
         self.labels = list(labels)
         self.classes = classes
         self.cursor = 0
+        self.batch_sizes = []
 
     def forward(self, ssf, g=None):
         n = ssf.shape[0]
@@ -31,7 +32,11 @@ class FixedPredictions:
         for i in range(n):
             out[i, self.labels[self.cursor + i]] = 1.0
         self.cursor += n
+        self.batch_sizes.append(n)
         return out
+
+    def release(self):
+        pass
 
 
 def stub_dataset(labels, classes=3, n_train=0):
@@ -45,21 +50,24 @@ def stub_dataset(labels, classes=3, n_train=0):
 
 class TestEvaluate:
     def test_confusion_matrix_is_exact(self):
-        data = stub_dataset([0, 0, 1, 1, 2, 2])
-        model = FixedPredictions([0, 1, 1, 1, 2, 0], classes=3)
-        report = evaluate(model, data, "test", batch_size=4)
-        expected = np.array([[1, 1, 0], [0, 2, 0], [1, 0, 1]])
+        # Seven copies of six samples: two batches, the second a short one.
+        data = stub_dataset([0, 0, 1, 1, 2, 2] * 7)
+        model = FixedPredictions([0, 1, 1, 1, 2, 0] * 7, classes=3)
+        report = evaluate(model, data, "test")
+        assert model.batch_sizes == [BATCH_SIZE, 42 - BATCH_SIZE]
+        expected = 7 * np.array([[1, 1, 0], [0, 2, 0], [1, 0, 1]])
         np.testing.assert_array_equal(report.confusion, expected)
-        assert report.total == 6
+        assert report.total == 42
         assert report.accuracy == pytest.approx(4 / 6)
         assert report.per_class_accuracy == (0.5, 1.0, 0.5)
 
     def test_rows_sum_to_class_support(self):
         rng = np.random.default_rng(0)
-        labels = rng.integers(0, 3, size=30)
+        labels = rng.integers(0, 3, size=100)
         data = stub_dataset(labels)
-        model = FixedPredictions(rng.integers(0, 3, size=30), classes=3)
-        report = evaluate(model, data, "test", batch_size=7)
+        model = FixedPredictions(rng.integers(0, 3, size=100), classes=3)
+        report = evaluate(model, data, "test")
+        assert len(model.batch_sizes) == 4
         np.testing.assert_array_equal(report.confusion.sum(axis=1),
                                       np.bincount(labels, minlength=3))
         assert np.trace(report.confusion) / report.total == report.accuracy

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from ssfx.data import LoadedDataset
+from ssfx.evaluation import evaluate, measure_complexity
 from ssfx.features import FeatureSubset
 from ssfx.mask import ValidationError
 from ssfx.models import (
+    BATCH_SIZE,
+    CNN_CHANNELS,
     FusionConfig,
     TrainPlan,
     build_from_descriptor,
@@ -21,7 +24,7 @@ from ssfx.models import (
     predict,
     train,
 )
-from ssfx.nn import Checkpoint, CheckpointError, save_checkpoint
+from ssfx.nn import Checkpoint, CheckpointError, Sequential, save_checkpoint
 
 
 def toy_dataset(n_per_class=20, L=4, classes=2, global_width=None, seed=0):
@@ -275,6 +278,9 @@ class TestPredict:
             def forward(self, ssf, g=None):
                 return np.array([[0.5, 0.5, 0.1]])
 
+            def release(self):
+                pass
+
         label, logits = predict(Stub(), np.zeros((4, 5)))
         assert label == 0
         np.testing.assert_array_equal(logits, [0.5, 0.5, 0.1])
@@ -418,6 +424,34 @@ class TestTrainingLoop:
         with np.errstate(all="ignore"), pytest.raises(
                 ArithmeticError, match="loss nan at epoch 0, batch 1"):
             train(self.plan(learning_rate=1e200), data, model)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rate_or_decay_is_refused(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            self.plan(**{field: value})
+
+    def test_non_finite_test_loss_stops_training_naming_epoch(self):
+        data = toy_dataset()
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        # One batch per epoch: the training loss is finite, and the one step
+        # it takes at this rate makes the test logits overflow.
+        plan = self.plan(epochs=1, batch_size=len(data.train_idx), learning_rate=1e200)
+        with np.errstate(all="ignore"), pytest.raises(
+                ArithmeticError, match="test loss nan at epoch 0"):
+            train(plan, data, model)
+
+    def test_non_finite_parameter_is_not_checkpointed(self):
+        data = toy_dataset()
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        # A -inf bias before a ReLU only silences its unit: every loss stays
+        # finite, and the bias gets a zero gradient, so it stays -inf.
+        dict(model.parameters())["head.fc1.bias"].data[0] = -np.inf
+        with pytest.raises(ArithmeticError,
+                           match="parameter 'head.fc1.bias' is not finite after epoch 1"):
+            train(self.plan(epochs=2), data, model)
 
     def test_stage_model_mismatch_rejected(self):
         data = toy_dataset(global_width=4)
@@ -709,3 +743,80 @@ class TestStepBuffers:
         assert kept_after_failure < 2**20, kept_after_failure
         for name, t in model.parameters():
             assert t.grad is None and t.grad_buffer() is None, name
+
+
+def held_buffers(model):
+    """What the model still holds for a backward pass: each layer's forward
+    cache and conv workspace, and each parameter's gradient or spare."""
+    def leaves(seq, prefix):
+        for name, layer in seq.layers:
+            if isinstance(layer, Sequential):
+                yield from leaves(layer, f"{prefix}{name}.")
+            else:
+                yield f"{prefix}{name}", layer
+
+    held = []
+    for seq in [b.layers for b in model.branches] + [model.trunk]:
+        for name, layer in leaves(seq, ""):
+            if layer._cache is not None:
+                held.append(f"{name} cache")
+            if getattr(layer, "_workspace", None) is not None:
+                held.append(f"{name} workspace")
+    return held + [f"{name} gradient" for name, t in model.parameters()
+                   if t.grad is not None or t.grad_buffer() is not None]
+
+
+class TestForwardOnlyCallsKeepNothing:
+    """``evaluate``, ``predict`` and ``measure_complexity`` run no backward
+    pass, so they leave no training state in the model."""
+
+    @staticmethod
+    def make(head):
+        rng = np.random.default_rng(2)
+        if head == "fusion":
+            cfg = FusionConfig(4, 2, global_width=8, semantic_width=12, fc3_width=8)
+            return build_fusion_classifier(cfg, "cnn", FeatureSubset(), 4, rng, head_width=12)
+        if head == "pc1d":
+            return build_semantic_classifier("pc1d", FeatureSubset.parse("pc"), 4, 2, rng,
+                                             pc_channels=(3, 4), head_width=12)
+        return build_semantic_classifier(head, FeatureSubset(), 4, 2, rng,
+                                         hidden=(8, 12), head_width=12)
+
+    @pytest.mark.parametrize("call", ["evaluate", "predict", "measure_complexity"])
+    @pytest.mark.parametrize("head", ["cnn", "nn", "pc1d", "fusion"])
+    def test_buffers_are_released(self, head, call):
+        data = toy_dataset(global_width=4 if head == "fusion" else None)
+        model = self.make(head)
+        g = data.global_vecs
+        # Leave spare gradients, then forward caches and conv workspaces.
+        model.backward(model.forward(data.ssf[:5], None if g is None else g[:5]))
+        model.zero_grad()
+        model.forward(data.ssf[:3], None if g is None else g[:3])
+        assert any("cache" in h for h in held_buffers(model))
+        assert any("gradient" in h for h in held_buffers(model))
+        if call == "evaluate":
+            evaluate(model, data, "test")
+        elif call == "predict":
+            predict(model, data.ssf[0], None if g is None else g[0])
+        else:
+            measure_complexity(model, iterations=1000, warmup=1)
+        assert held_buffers(model) == []
+
+    def test_evaluate_peaks_at_one_batch_of_conv_workspace(self):
+        # 96 test samples: three batches at the training batch size.
+        data = toy_dataset(n_per_class=160, L=8)
+        model = build_semantic_classifier("cnn", FeatureSubset(), 8, 2, np.random.default_rng(0))
+        assert len(data.test_idx) == 3 * BATCH_SIZE
+        # The im2col matrices of one batch: B*L*k rows of 9*C_in columns per conv.
+        workspace = sum(BATCH_SIZE * 8 * 5 * 9 * c * 8 for c in (1,) + CNN_CHANNELS[:2])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = evaluate(model, data, "test")
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.total == 96
+        assert current - before < 2**20, current - before
+        assert peak - before < 2 * workspace, (peak - before, workspace)

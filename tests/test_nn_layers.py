@@ -4,6 +4,7 @@ import pytest
 
 from ssfx.mask import ValidationError
 from ssfx.nn import Conv1D, Conv2D, Dense, Flatten, LayerSpec, ReLU, Sequential, ShapeError
+from ssfx.nn.layers import KERNEL, PADDING
 
 from oracles import max_rel_err, naive_conv, numeric_grad
 
@@ -17,19 +18,19 @@ class TestConv2DForward:
     def test_ones_kernel_counts_neighbourhood(self):
         # 3x3 ones input, 3x3 ones kernel, pad 1: corners see 4 cells,
         # edges 6, the center all 9.
-        conv = Conv2D(1, 1, kernel_size=3, padding=1)
+        conv = Conv2D(1, 1)
         conv.weight.data[:] = 1.0
         out = conv.forward(np.ones((1, 1, 3, 3)))[0, 0]
         np.testing.assert_array_equal(out, [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
-    def test_output_dims_follow_floor_formula(self):
-        for h, w, k, p in [(7, 5, 3, 1), (8, 8, 3, 0), (9, 4, 2, 0), (5, 5, 5, 2)]:
-            conv = Conv2D(2, 3, kernel_size=k, padding=p)
+    def test_output_keeps_spatial_size(self):
+        for h, w in [(7, 5), (1, 1), (1, 6), (9, 2)]:
+            conv = Conv2D(2, 3)
             out = conv.forward(np.zeros((1, 2, h, w)))
-            assert out.shape == (1, 3, h + 2 * p - k + 1, w + 2 * p - k + 1)
+            assert out.shape == (1, 3, h, w) == conv.out_shape((1, 2, h, w))
 
     def test_bias_added_per_channel(self):
-        conv = Conv2D(1, 2, kernel_size=1, padding=0)
+        conv = Conv2D(1, 2)
         conv.weight.data[:] = 0.0
         conv.bias.data[:] = [1.5, -2.0]
         out = conv.forward(np.zeros((1, 1, 2, 2)))
@@ -43,7 +44,7 @@ class TestConv2DForward:
 
 class TestConv1DForward:
     def test_ones_kernel_on_ones_input(self):
-        conv = Conv1D(1, 1, kernel_size=3, padding=1)
+        conv = Conv1D(1, 1)
         conv.weight.data[:] = 1.0
         out = conv.forward(np.ones((1, 1, 5)))[0, 0]
         np.testing.assert_array_equal(out, [2, 3, 3, 3, 2])
@@ -122,12 +123,10 @@ def test_release_leaves_no_forward_cache(kind):
 def random_conv2d_case(rng):
     cin = int(rng.integers(1, 4))
     cout = int(rng.integers(1, 4))
-    k = int(rng.integers(1, 4))
-    p = int(rng.integers(0, 3))
-    h = int(rng.integers(k, k + 5))
-    w = int(rng.integers(k, k + 5))
+    h = int(rng.integers(1, 8))
+    w = int(rng.integers(1, 8))
     b = int(rng.integers(1, 3))
-    layer = Conv2D(cin, cout, k, padding=p, rng=rng)
+    layer = Conv2D(cin, cout, rng=rng)
     x = rng.standard_normal((b, cin, h, w))
     return layer, x
 
@@ -135,11 +134,9 @@ def random_conv2d_case(rng):
 def random_conv1d_case(rng):
     cin = int(rng.integers(1, 4))
     cout = int(rng.integers(1, 4))
-    k = int(rng.integers(1, 4))
-    p = int(rng.integers(0, 3))
-    n = int(rng.integers(k, k + 8))
+    n = int(rng.integers(1, 11))
     b = int(rng.integers(1, 3))
-    layer = Conv1D(cin, cout, k, padding=p, rng=rng)
+    layer = Conv1D(cin, cout, rng=rng)
     x = rng.standard_normal((b, cin, n))
     return layer, x
 
@@ -199,17 +196,17 @@ def test_conv_matches_loop_oracle_on_random_shapes(case, seed):
     for _ in range(20):
         layer, x = case(rng)
         s = layer.spec
-        w4 = layer.weight.data.reshape(s.out_channels, s.in_channels, -1, s.kernel_size)
-        pad_h = s.padding if layer.weight.data.ndim == 4 else 0
+        w4 = layer.weight.data.reshape(s.out_channels, s.in_channels, -1, KERNEL)
+        pad_h = PADDING if layer.weight.data.ndim == 4 else 0
         x4 = x if x.ndim == 4 else x[:, :, None, :]
         layer.bias.data[:] = rng.standard_normal(s.out_channels)
         out = layer.forward(x.copy())
-        want = naive_conv(x4, w4, layer.bias.data, pad_h, s.padding)
+        want = naive_conv(x4, w4, layer.bias.data, pad_h, PADDING)
         np.testing.assert_allclose(out, want.reshape(out.shape), rtol=1e-12, atol=1e-12)
 
         probe = rng.standard_normal(out.shape)
         grad_x = layer.backward(probe.copy())
-        want_x, want_w, want_b = naive_conv(x4, w4, layer.bias.data, pad_h, s.padding,
+        want_x, want_w, want_b = naive_conv(x4, w4, layer.bias.data, pad_h, PADDING,
                                             probe.reshape(want.shape))
         np.testing.assert_allclose(grad_x, want_x.reshape(x.shape), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(layer.weight.grad, want_w.reshape(layer.weight.shape),
@@ -301,10 +298,6 @@ class TestLayerSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValidationError, match="unknown layer kind"):
             LayerSpec("pool")
-
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(ValidationError, match="invalid conv geometry"):
-            LayerSpec("conv2d", 1, 1, kernel_size=0)
 
 
 class TestSequential:

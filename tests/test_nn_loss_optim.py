@@ -136,6 +136,14 @@ class TestAdam:
         with pytest.raises(ValidationError, match="weight decay"):
             Adam([("p", p)], learning_rate=0.1, weight_decay=-1.0)
 
+    @pytest.mark.parametrize("lr,wd,name", [(np.nan, 0.0, "learning rate"),
+                                            (np.inf, 0.0, "learning rate"),
+                                            (0.1, np.nan, "weight decay"),
+                                            (0.1, np.inf, "weight decay")])
+    def test_non_finite_hyperparameters_rejected(self, lr, wd, name):
+        with pytest.raises(ValidationError, match=f"{name} must be .* finite"):
+            Adam([("p", Tensor(np.zeros(1)))], learning_rate=lr, weight_decay=wd)
+
     @pytest.mark.parametrize("lr,wd", [(0.5, 2.0), (1e9, 5e-4), (2.0, 0.75)])
     def test_decay_shrink_at_or_below_zero_rejected(self, lr, wd):
         p = Tensor(np.ones(3))
