@@ -7,7 +7,8 @@ e.g. ``SSFX_WEIGHT_DECAY``); explicit flags win over the environment.
 
 Exit codes: 0 success, 1 data or runtime error, 2 usage error. Commands
 that write outputs also write a ``run_record.json`` reproducibility record
-(resolved configuration plus package version) beside them.
+(resolved configuration, package version, and the numpy build, CPUs and
+thread variables it ran with) beside them.
 """
 from __future__ import annotations
 
@@ -25,7 +26,9 @@ from .data import (
     generate_synthetic,
     load_dataset,
     load_manifest,
+    map_masks,
     split_information_spec,
+    usable_cpus,
 )
 from .evaluation import (
     evaluate,
@@ -107,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-void", action="store_true", help="forbid unlabeled pixels")
     p.add_argument("--format", choices=("csv", "bin"), default="csv", help="output format")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="parallel workers for batch extraction")
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic dataset")
     p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -136,14 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--weight-decay", type=float, default=5e-4)
     p.add_argument("--from-checkpoint", type=Path, help="step-1 checkpoint to build step 2 on")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("eval", help="evaluate a trained checkpoint")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", type=Path, help="directory for report.json and confusion.csv")
 
     p = sub.add_parser("ablate", help="train the full feature-subset x head grid")
@@ -153,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=BATCH_SIZE)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", type=Path, help="directory for ablation.json")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -194,13 +193,20 @@ def _record(out_dir: Path, command: str, args: argparse.Namespace) -> None:
             value = value.spec_string()
         config[key] = value
     out_dir.mkdir(parents=True, exist_ok=True)
-    record = {"command": command, "config": config, "version": __version__}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
+    except (TypeError, KeyError):  # an older numpy, without the dict form
+        blas = None
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    environment = {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
+                   "usable_cpus": usable_cpus(),
+                   "thread_variables": {k: os.environ.get(k) for k in variables}}
+    record = {"command": command, "config": config, "version": __version__,
+              "environment": environment}
     (out_dir / "run_record.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {args.threads}")
     void = None if args.no_void else args.void
     jobs: list[tuple[str, Path, int, int | None]] = []  # (output stem, path, L, void)
     if args.manifest is not None:
@@ -218,26 +224,20 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
 
-    def run_one(job: tuple[str, Path, int, int | None]) -> tuple[str, str | None]:
+    def run_one(job: tuple[str, Path, int, int | None]) -> tuple[tuple[str, str | None], int]:
         stem, path, L, void_value = job
         try:
-            matrix = extract_ssf(load_mask(path, L, void_value))
+            mask = load_mask(path, L, void_value)
+            matrix = extract_ssf(mask)
             if args.format == "csv":
                 write_feature_csv(args.out / f"{stem}.csv", matrix)
             else:
                 write_feature_matrix(args.out / f"{stem}.ssff", matrix.values)
-            return stem, None
+            return (stem, None), mask.data.size
         except (ValidationError, FormatError, FileNotFoundError, OSError) as exc:
-            return stem, str(exc)
+            return (stem, str(exc)), 0
 
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
-
+    results = map_masks(run_one, jobs)
     _record(args.out, "extract", args)
     failures = [(stem, err) for stem, err in results if err is not None]
     for stem, err in failures:
@@ -266,7 +266,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("--stage step2 requires --from-checkpoint with the step-1 model")
 
     manifest = load_manifest(args.manifest)
-    data = load_dataset(manifest, threads=args.threads)
+    data = load_dataset(manifest)
     rng = np.random.default_rng(args.seed)
     frozen: tuple[str, ...] = ()
 
@@ -313,7 +313,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = load_model(ckpt)
     manifest = load_manifest(args.manifest)
-    data = load_dataset(manifest, threads=args.threads)
+    data = load_dataset(manifest)
     report = evaluate(model, data, args.split)
     print(report.to_text())
     if args.out is not None:
@@ -326,7 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    data = load_dataset(manifest, threads=args.threads)
+    data = load_dataset(manifest)
     grid = run_ablation(data, epochs=args.epochs, batch_size=args.batch,
                         learning_rate=args.lr, weight_decay=args.weight_decay,
                         seed=args.seed)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,8 @@ __all__ = [
     "load_manifest",
     "save_manifest",
     "load_dataset",
+    "map_masks",
+    "usable_cpus",
     "ordered_batches",
     "shuffled_batches",
     "benchmark_spec",
@@ -48,6 +51,9 @@ __all__ = [
 MANIFEST_KIND = "ssfx-manifest"
 MANIFEST_VERSION = 1
 SPLITS = ("train", "test")
+# Masks of at least this many pixels are read on two threads (``map_masks``);
+# smaller ones lose to one thread, as their work holds the interpreter lock.
+TWO_WORKER_PIXELS = 65536
 
 
 @dataclass(frozen=True)
@@ -189,26 +195,59 @@ class LoadedDataset:
     global_vecs: np.ndarray | None = None
 
 
-def load_dataset(manifest: DatasetManifest, threads: int = 1) -> LoadedDataset:
-    """Extract features for every manifest entry; ordering matches the manifest."""
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    def features_for(entry: ManifestEntry) -> np.ndarray:
-        mask = load_mask(manifest.root / entry.mask_path, manifest.num_categories,
-                         manifest.void_value)
-        return extract_ssf(mask).values
 
-    if threads == 1:
-        rows = [features_for(e) for e in manifest.entries]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(features_for, manifest.entries))
+def map_masks(work, items: list) -> list:
+    """``[work(item)[0] for item in items]``; ``work(item)[1]`` is the pixel count of its mask.
+
+    When the first mask has at least ``TWO_WORKER_PIXELS`` pixels and the process may use two
+    CPUs, a helper thread does the second half of the other items. The error raised is the
+    earliest failing item's, as on one thread.
+    """
+    first, pixels = work(items[0])
+    rest, mid = items[1:], len(items) // 2
+    if pixels < TWO_WORKER_PIXELS or len(rest) < 2 or usable_cpus() < 2:
+        return [first] + [work(item)[0] for item in rest]
+    second, failed, stop = [], [], threading.Event()  # stop: the first half failed
+
+    def run_second_half() -> None:
+        try:
+            second.extend(work(item)[0] for item in rest[mid:] if not stop.is_set())
+        except BaseException as exc:  # raised by the calling thread after its own half
+            failed.append(exc)
+
+    helper = threading.Thread(target=run_second_half)
+    helper.start()
+    try:
+        results = [first] + [work(item)[0] for item in rest[:mid]]
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return results + second
+
+
+def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
+    """Extract features for every manifest entry (``map_masks``); ordering matches the manifest."""
+    root = manifest.root
+
+    def sample(entry: ManifestEntry) -> tuple[tuple, int]:
+        mask = load_mask(root / entry.mask_path, manifest.num_categories, manifest.void_value)
+        vec = None if entry.global_path is None else read_feature_vector(root / entry.global_path)
+        return (extract_ssf(mask).values, vec), mask.data.size
+
+    rows, vecs = zip(*map_masks(sample, manifest.entries))
     ssf = np.stack(rows)
-
     global_vecs = None
-    if manifest.entries[0].global_path is not None:
-        vecs = [read_feature_vector(manifest.root / e.global_path) for e in manifest.entries]
+    if vecs[0] is not None:
         widths = {v.shape[0] for v in vecs}
         if len(widths) != 1:
             raise ValidationError(f"global feature widths differ across the manifest: {sorted(widths)}")

@@ -13,7 +13,9 @@ import numpy as np
 # ``category_values`` returns, itemsize*h*w bytes. At 16384 x 16384 that is
 # 2 GiB, plus 0.5 GiB for a uint16 grid. The h*w-byte boolean that makes the
 # copy is freed before the index is allocated; everything else extraction
-# allocates scales with (h+w)*(L+1).
+# allocates scales with (h+w)*(L+1). That is per call: on large masks
+# ``data.map_masks`` makes two calls at once, so ``load_dataset`` and
+# ``ssfx extract`` can hold twice these buffers, and two masks.
 MAX_SIDE = 16384
 
 

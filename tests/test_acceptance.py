@@ -47,7 +47,7 @@ def benchmark_data(tmp_path_factory):
     """Seeded 6-class set, 100 samples/class, 70/30 split, noise 0.1."""
     out = tmp_path_factory.mktemp("benchmark")
     manifest = generate_synthetic(benchmark_spec(), out)
-    return load_dataset(load_manifest(manifest), threads=4)
+    return load_dataset(load_manifest(manifest))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def splitinfo_data(tmp_path_factory):
     """Variant where class identity needs both the mask and the global vector."""
     out = tmp_path_factory.mktemp("splitinfo")
     manifest = generate_synthetic(split_information_spec(), out)
-    return load_dataset(load_manifest(manifest), threads=4)
+    return load_dataset(load_manifest(manifest))
 
 
 def test_extraction_matches_naive_oracle_on_random_masks():

@@ -1,11 +1,14 @@
 """CLI contract: exit codes, artifacts, reproducibility, env overrides."""
 import json
+import os
 import shutil
 import subprocess
+import threading
 
 import numpy as np
 import pytest
 
+import ssfx.data as data_module
 from ssfx.cli import main
 from ssfx.io import read_feature_matrix, write_pgm
 from ssfx.nn import Checkpoint, load_checkpoint, save_checkpoint
@@ -16,12 +19,35 @@ def make_pgm(path, h=8, w=8, categories=3, seed=0):
     write_pgm(path, rng.integers(0, categories + 1, size=(h, w)))
 
 
+def assert_environment(record):
+    """The run record names the numpy build, the CPUs and the thread variables."""
+    env = record["environment"]
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["blas"], str) and env["blas"]
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["usable_cpus"] == len(os.sched_getaffinity(0)) >= 1
+    assert env["thread_variables"] == {k: os.environ.get(k) for k in
+                                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     """A small benchmark dataset shared by the read-only CLI tests."""
     out = tmp_path_factory.mktemp("synth")
     assert main(["synth", "--out", str(out), "--samples", "6", "--noise", "0.05",
                  "--seed", "3"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def large_dir(tmp_path_factory):
+    """Thirteen 256x256 masks, large enough to be read on two threads."""
+    out = tmp_path_factory.mktemp("large")
+    assert main(["synth", "--out", str(out), "--samples", "3", "--height", "256",
+                 "--width", "256", "--seed", "4"]) == 0
+    lines = (out / "dataset.manifest").read_text().splitlines()
+    (out / "dataset.manifest").write_text("\n".join(lines[:14]) + "\n")
     return out
 
 
@@ -208,15 +234,6 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: ")
         assert not (tmp_path / "o" / "model.ssfc").exists()
 
-    def test_extract_threads_below_one_is_data_error(self, tmp_path, capsys):
-        p = tmp_path / "m.pgm"
-        make_pgm(p)
-        rc = main(["extract", str(p), "--L", "3", "--threads", "-3", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "threads must be >= 1, got -3" in err
-        assert not (tmp_path / "o").exists()
-
     def test_learning_rate_times_decay_at_one_exits_1_without_checkpoint(self, synth_dir,
                                                                         tmp_path, capsys):
         run = tmp_path / "run"
@@ -313,14 +330,41 @@ class TestExtract:
         assert len(written) == 36 - 1  # every healthy mask still extracted
         assert "extracted 35 of 36" in captured.out
 
-    def test_threaded_extraction_matches_serial(self, synth_dir, tmp_path):
-        serial, threaded = tmp_path / "s", tmp_path / "t"
-        manifest = str(synth_dir / "dataset.manifest")
-        assert main(["extract", "--manifest", manifest, "--out", str(serial)]) == 0
-        assert main(["extract", "--manifest", manifest, "--out", str(threaded),
-                     "--threads", "4"]) == 0
-        for f in sorted(serial.glob("*.csv")):
-            assert f.read_bytes() == (threaded / f.name).read_bytes()
+    def test_threaded_extraction_matches_serial(self, large_dir, tmp_path, monkeypatch):
+        manifest = str(large_dir / "dataset.manifest")
+        for fmt in ("csv", "bin"):
+            outputs = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(data_module.os, "sched_getaffinity",
+                                    lambda pid, n=cpus: set(range(n)))
+                out = tmp_path / f"{fmt}{cpus}"
+                assert main(["extract", "--manifest", manifest, "--format", fmt,
+                             "--out", str(out)]) == 0
+                outputs.append({f.name: f.read_bytes() for f in out.iterdir()
+                                if f.name != "run_record.json"})
+            assert len(outputs[0]) == 13 and outputs[0] == outputs[1]
+
+    def test_two_worker_extraction_lists_failures_in_input_order(self, large_dir, tmp_path,
+                                                                 capsys, monkeypatch):
+        monkeypatch.setattr(data_module.os, "sched_getaffinity", lambda pid: {0, 1})
+        corrupt_dir = tmp_path / "corrupt_set"
+        shutil.copytree(large_dir, corrupt_dir)
+        # Of the twelve entries after the first, 1-6 are the calling thread's
+        # half and 7-12 the helper's.
+        ids = [json.loads(line)["id"] for line in
+               (corrupt_dir / "dataset.manifest").read_text().splitlines()[1:]]
+        for i in (3, 8, 11):
+            (corrupt_dir / "masks" / f"{ids[i]}.ssfm").write_bytes(b"SSFM\x01\x00garbage")
+        before = threading.active_count()
+        rc = main(["extract", "--manifest", str(corrupt_dir / "dataset.manifest"),
+                   "--out", str(tmp_path / "features")])
+        assert rc == 1 and threading.active_count() == before
+        captured = capsys.readouterr()
+        listed = [line.split(":")[1].strip() for line in captured.err.splitlines()[:-1]]
+        assert listed == [ids[3], ids[8], ids[11]]
+        assert captured.err.splitlines()[-1] == "3 mask(s) failed"
+        assert len(list((tmp_path / "features").glob("*.csv"))) == 13 - 3
+        assert "extracted 10 of 13" in captured.out
 
 
 class TestSynthTrainEval:
@@ -332,6 +376,17 @@ class TestSynthTrainEval:
         assert record["config"]["seed"] == 3
         assert "version" in record
         assert not any("time" in k.lower() or "date" in k.lower() for k in record)
+        assert_environment(record)
+
+    def test_record_names_no_blas_when_numpy_cannot_say(self, tmp_path, monkeypatch):
+        def old_show_config(mode="stdout"):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        assert main(["synth", "--out", str(tmp_path), "--samples", "2"]) == 0
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        assert record["environment"]["blas"] is None
+        assert record["environment"]["numpy"] == np.__version__
 
     def test_synth_is_reproducible(self, synth_dir, tmp_path):
         again = tmp_path / "again"
@@ -355,6 +410,7 @@ class TestSynthTrainEval:
         record = json.loads((run / "run_record.json").read_text())
         assert record["config"]["head"] == "nn"
         assert record["config"]["subset"] == "pc,ap,sd"
+        assert_environment(record)
 
         capsys.readouterr()
         rc = main(["eval", "--manifest", str(synth_dir / "dataset.manifest"),

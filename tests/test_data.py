@@ -1,12 +1,18 @@
 """Manifest handling, batching, and the synthetic benchmark generator."""
 import hashlib
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssfx.data as data_module
+from ssfx.cli import main
 from ssfx.data import (
+    TWO_WORKER_PIXELS,
     BlobSpec,
     ClassRecipe,
     DatasetManifest,
@@ -17,13 +23,14 @@ from ssfx.data import (
     generate_synthetic,
     load_dataset,
     load_manifest,
+    map_masks,
     recipe_targets,
     save_manifest,
     shuffled_batches,
     split_information_spec,
 )
 from ssfx.features import extract_ssf
-from ssfx.io import load_mask, save_mask
+from ssfx.io import FormatError, load_mask, save_mask, write_feature_vector
 from ssfx.mask import ValidationError
 
 
@@ -308,14 +315,6 @@ class TestGenerator:
         for i, label in enumerate(data.labels):
             assert np.argmax(data.global_vecs[i]) == (0 if label == 0 else 3)
 
-    def test_threaded_loading_matches_serial(self, tmp_path):
-        spec = tiny_spec(noise=0.2)
-        manifest = load_manifest(generate_synthetic(spec, tmp_path / "d"))
-        serial = load_dataset(manifest, threads=1)
-        threaded = load_dataset(manifest, threads=4)
-        np.testing.assert_array_equal(serial.ssf, threaded.ssf)
-        np.testing.assert_array_equal(serial.labels, threaded.labels)
-
 
 class TestSynthSpecValidation:
     def test_blob_exceeding_image_rejected(self):
@@ -390,3 +389,172 @@ class TestRecipeTargets:
         assert spec.recipes[1] == spec.recipes[4]
         assert spec.recipes[2] == spec.recipes[5]
         assert spec.global_groups == (0, 0, 0, 1, 1, 1)
+
+
+# --- two workers over manifest halves -----------------------------------------
+
+SIDE = 256  # a 256x256 mask has exactly TWO_WORKER_PIXELS pixels
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(data_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def helpers_started(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(data_module.threading, "Thread", Recorded)
+    return started
+
+
+def large_manifest(root, n=7, side=SIDE):
+    """``n`` masks of ``side`` x ``side``, PGM and SSFM in turn, with global vectors."""
+    rng = np.random.default_rng(5)
+    entries = []
+    for i in range(n):
+        mask_rel = f"m{i}.pgm" if i % 2 else f"m{i}.ssfm"
+        save_mask(root / mask_rel, rng.integers(0, 6, size=(side, side)))
+        write_feature_vector(root / f"g{i}.ssff", rng.standard_normal(4))
+        entries.append(ManifestEntry(id=f"e{i}", mask_path=mask_rel, label=i % 2,
+                                     split="train" if i < n - 2 else "test",
+                                     global_path=f"g{i}.ssff"))
+    save_manifest(DatasetManifest(num_classes=2, num_categories=5, void_value=0,
+                                  entries=entries, root=root), root / "d.manifest")
+    return load_manifest(root / "d.manifest")
+
+
+def spoil(manifest, index, value):
+    """Give entry ``index`` a pixel outside the manifest's categories."""
+    path = manifest.root / manifest.entries[index].mask_path
+    grid = load_mask(path, manifest.num_categories).data.copy()
+    grid[3, index] = value
+    save_mask(path, grid)
+
+
+class TestTwoWorkers:
+    def test_two_workers_match_one_bit_for_bit(self, tmp_path, monkeypatch, helpers_started):
+        assert SIDE * SIDE == TWO_WORKER_PIXELS
+        manifest = large_manifest(tmp_path)
+        usable_cpus(monkeypatch, 1)
+        one = load_dataset(manifest)
+        assert helpers_started == []
+        usable_cpus(monkeypatch, 2)
+        two = load_dataset(manifest)
+        assert len(helpers_started) == 1 and not helpers_started[0].is_alive()
+        for name in ("ssf", "global_vecs", "labels", "train_idx", "test_idx"):
+            a, b = getattr(one, name), getattr(two, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert one.global_vecs.shape == (7, 4)
+
+    def test_masks_below_the_pixel_count_use_one_thread(self, tmp_path, monkeypatch,
+                                                        helpers_started):
+        usable_cpus(monkeypatch, 2)
+        load_dataset(large_manifest(tmp_path, side=32))
+        assert helpers_started == []
+        monkeypatch.setattr(data_module, "TWO_WORKER_PIXELS", 32 * 32)
+        load_dataset(large_manifest(tmp_path, side=32))
+        assert len(helpers_started) == 1
+
+    def test_one_usable_cpu_uses_one_thread(self, tmp_path, monkeypatch, helpers_started):
+        usable_cpus(monkeypatch, 1)
+        load_dataset(large_manifest(tmp_path))
+        assert helpers_started == []
+
+    @pytest.mark.parametrize("bad", [(2, 5), (5,), (2,), (1, 4)])
+    def test_earliest_failing_entry_raises_the_one_worker_error(self, tmp_path, monkeypatch,
+                                                                helpers_started, bad):
+        # Of the six entries after the first, 1-3 are the calling thread's half
+        # and 4-6 the helper's.
+        manifest = large_manifest(tmp_path)
+        for index in bad:
+            spoil(manifest, index, 6 + index)
+        usable_cpus(monkeypatch, 1)
+        with pytest.raises(ValidationError) as one:
+            load_dataset(manifest)
+        assert f"invalid category value {6 + bad[0]}" in str(one.value)
+        usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(ValidationError) as two:
+            load_dataset(manifest)
+        assert str(two.value) == str(one.value)
+        assert len(helpers_started) == 1
+        assert threading.active_count() == before
+
+    def test_unreadable_mask_keeps_its_error_type(self, tmp_path, monkeypatch):
+        manifest = large_manifest(tmp_path)
+        (manifest.root / manifest.entries[5].mask_path).write_bytes(b"XXXXnot a mask")
+        spoil(manifest, 6, 9)
+        usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(FormatError, match="unrecognized mask format"):
+            load_dataset(manifest)
+        assert threading.active_count() == before
+
+    def test_memory_error_in_the_second_half_is_one_line(self, tmp_path, monkeypatch, capsys):
+        manifest = large_manifest(tmp_path)
+        usable_cpus(monkeypatch, 2)
+        victim = load_mask(manifest.root / manifest.entries[5].mask_path, 5).data
+        extract = data_module.extract_ssf
+
+        def extract_or_fail(mask):
+            if np.array_equal(mask.data, victim):
+                raise MemoryError("Unable to allocate 1.00 TiB")
+            return extract(mask)
+
+        monkeypatch.setattr(data_module, "extract_ssf", extract_or_fail)
+        before = threading.active_count()
+        rc = main(["train", "--manifest", str(tmp_path / "d.manifest"), "--head", "nn",
+                   "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 1.00 TiB\n"
+        assert threading.active_count() == before
+        assert not (tmp_path / "run").exists()
+
+    def test_helper_stops_once_the_first_half_fails(self, monkeypatch):
+        # Items 1-3 are the calling thread's, 4-6 the helper's. Item 1 fails
+        # while the helper is inside item 4; the helper starts no other item.
+        ran, inside = [], threading.Event()
+
+        def work(item):
+            ran.append(item)
+            if item == 4:
+                inside.set()
+                time.sleep(0.2)
+            if item == 1:
+                assert inside.wait(10)
+                raise KeyError("item 1")
+            return item, TWO_WORKER_PIXELS
+
+        usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="item 1"):
+            map_masks(work, list(range(7)))
+        assert threading.active_count() == before
+        assert sorted(ran) == [0, 1, 4]
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        assert data_module.usable_cpus() == len(data_module.os.sched_getaffinity(0))
+        monkeypatch.delattr(data_module.os, "sched_getaffinity")
+        assert data_module.usable_cpus() == (data_module.os.cpu_count() or 1)
+
+    def test_results_keep_item_order(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        for n in range(1, 9):
+            assert map_masks(lambda i: (i, TWO_WORKER_PIXELS), list(range(n))) == list(range(n))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for _ in range(20):
+                items = list(range(2001))
+                assert map_masks(lambda i: ([i] * 3, TWO_WORKER_PIXELS), items) == [
+                    [i] * 3 for i in items]
+        finally:
+            sys.setswitchinterval(interval)
