@@ -1,14 +1,17 @@
 """Command-line interface.
 
 One executable, one subcommand per run: extract, synth, train, eval,
-ablate, gradcheck, bench. Every flag can also be supplied through an
-environment variable named SSFX_<FLAG> (uppercased, dashes to underscores,
-e.g. ``SSFX_WEIGHT_DECAY``); explicit flags win over the environment.
+ablate, gradcheck, bench. Flags are the only configuration.
 
-Exit codes: 0 success, 1 data or runtime error, 2 usage error. Commands
-that write outputs also write a ``run_record.json`` reproducibility record
-(resolved configuration, package version, and the numpy build, CPUs and
-thread variables it ran with) beside them.
+Exit codes: 0 success, 1 data or runtime error, 2 usage error. ``main``
+owns the output directory: it refuses an ``--out`` that exists and is not
+a directory (one ``error:`` line, exit 1, nothing run), creates it, and,
+after the command has returned or failed with exit 1, writes a
+``run_record.json`` reproducibility record into it. The record holds the
+command, its resolved configuration, the package version, the numpy build,
+CPUs and thread variables it ran with, its ``exit_code``, and ``error``:
+the ``error:`` line printed for a failure, or null. A usage error writes
+no record.
 """
 from __future__ import annotations
 
@@ -52,35 +55,7 @@ from .models import (
 )
 from .nn import CheckpointError, CorruptedGradients, grad_check, load_checkpoint, save_checkpoint
 
-ENV_PREFIX = "SSFX_"
-
 _STAGE_NAMES = {"semantic": "semantic_only", "step1": "step1_global", "step2": "step2_fusion"}
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with environment-variable defaults for every option."""
-
-    def add_argument(self, *names, **kwargs):  # type: ignore[override]
-        option = next((n for n in names if n.startswith("--")), None)
-        if option is not None and kwargs.get("action") in (None, "store", "store_true"):
-            env_name = ENV_PREFIX + option.lstrip("-").upper().replace("-", "_")
-            raw = os.environ.get(env_name)
-            if raw is not None:
-                if kwargs.get("action") == "store_true":
-                    kwargs["default"] = raw.strip().lower() in ("1", "true", "yes", "on")
-                else:
-                    cast = kwargs.get("type", str)
-                    try:
-                        kwargs["default"] = cast(raw)
-                    except (TypeError, ValueError, argparse.ArgumentTypeError):
-                        self.error(f"environment variable {env_name}={raw!r} is not a valid "
-                                   f"value for {option}")
-                    choices = kwargs.get("choices")
-                    if choices is not None and kwargs["default"] not in choices:
-                        self.error(f"environment variable {env_name}={raw!r} is not one of "
-                                   f"{', '.join(map(str, choices))}")
-                kwargs.pop("required", None)
-        return super().add_argument(*names, **kwargs)
 
 
 def _subset(text: str) -> FeatureSubset:
@@ -91,15 +66,13 @@ def _subset(text: str) -> FeatureSubset:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ssfx",
         description="Per-category layout statistics from segmentation masks, "
                     "plus small classifier heads trained on them.",
-        epilog=f"Every flag may be set via the environment as {ENV_PREFIX}<FLAG> "
-               f"(e.g. {ENV_PREFIX}SEED=7); explicit flags take precedence.",
     )
     parser.add_argument("--version", action="version", version=f"ssfx {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="extract feature matrices from masks")
     p.add_argument("masks", nargs="*", help="mask files (PGM or SSFM container)")
@@ -182,7 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _record(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _usage_problem(args: argparse.Namespace) -> str | None:
+    """What argparse cannot check on its own about a command's flags, or None."""
+    if args.command == "extract":
+        if args.masks and args.num_categories is None:
+            return "--L is required when extracting bare mask files"
+        if not args.masks and args.manifest is None:
+            return "nothing to extract: pass mask files or --manifest"
+    if args.command == "train" and args.stage == "step2" and args.from_checkpoint is None:
+        return "--stage step2 requires --from-checkpoint with the step-1 model"
+    return None
+
+
+def _record(args: argparse.Namespace, exit_code: int, error: str | None) -> None:
     config = {}
     for key, value in sorted(vars(args).items()):
         if key == "command":
@@ -192,7 +177,6 @@ def _record(out_dir: Path, command: str, args: argparse.Namespace) -> None:
         elif isinstance(value, FeatureSubset):
             value = value.spec_string()
         config[key] = value
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
     except (TypeError, KeyError):  # an older numpy, without the dict form
@@ -201,9 +185,9 @@ def _record(out_dir: Path, command: str, args: argparse.Namespace) -> None:
     environment = {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
                    "usable_cpus": usable_cpus(),
                    "thread_variables": {k: os.environ.get(k) for k in variables}}
-    record = {"command": command, "config": config, "version": __version__,
-              "environment": environment}
-    (out_dir / "run_record.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    record = {"command": args.command, "config": config, "version": __version__,
+              "environment": environment, "exit_code": exit_code, "error": error}
+    (args.out / "run_record.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -215,14 +199,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
             jobs.append((e.id, manifest.root / e.mask_path,
                          manifest.num_categories, manifest.void_value))
     for raw in args.masks:
-        if args.num_categories is None:
-            raise UsageError("--L is required when extracting bare mask files")
         path = Path(raw)
         jobs.append((path.stem, path, args.num_categories, void))
-    if not jobs:
-        raise UsageError("nothing to extract: pass mask files or --manifest")
-
-    args.out.mkdir(parents=True, exist_ok=True)
 
     def run_one(job: tuple[str, Path, int, int | None]) -> tuple[tuple[str, str | None], int]:
         stem, path, L, void_value = job
@@ -238,7 +216,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
             return (stem, str(exc)), 0
 
     results = map_masks(run_one, jobs)
-    _record(args.out, "extract", args)
     failures = [(stem, err) for stem, err in results if err is not None]
     for stem, err in failures:
         print(f"error: {stem}: {err}", file=sys.stderr)
@@ -255,16 +232,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 height=args.height, width=args.width, global_width=args.global_width,
                 global_sigma=args.global_sigma)
     manifest_path = generate_synthetic(spec, args.out)
-    _record(args.out, "synth", args)
     print(f"wrote {spec.num_classes * spec.samples_per_class} samples -> {manifest_path}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     stage = _STAGE_NAMES[args.stage]
-    if stage == "step2_fusion" and args.from_checkpoint is None:
-        raise UsageError("--stage step2 requires --from-checkpoint with the step-1 model")
-
     manifest = load_manifest(args.manifest)
     data = load_dataset(manifest)
     rng = np.random.default_rng(args.seed)
@@ -296,12 +269,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                      seed=args.seed, frozen=frozen)
     ckpt, metrics = train(plan, data, model)
 
-    args.out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, args.out / "model.ssfc")
     with open(args.out / "metrics.jsonl", "w") as fh:
         for m in metrics:
             fh.write(json.dumps(m, sort_keys=True, allow_nan=False) + "\n")
-    _record(args.out, "train", args)
     last = ckpt.metadata["final_metrics"]
     print(f"trained {stage} for {args.epochs} epochs -> {args.out / 'model.ssfc'}")
     print(f"final train acc {last['train']['accuracy']:.4f}, "
@@ -317,10 +288,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(model, data, args.split)
     print(report.to_text())
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         (args.out / "confusion.csv").write_text(report.confusion_csv())
-        _record(args.out, "eval", args)
     return 0
 
 
@@ -332,9 +301,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                         seed=args.seed)
     print(grid.to_text())
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "ablation.json").write_text(json.dumps(grid.to_dict(), indent=2) + "\n")
-        _record(args.out, "ablate", args)
     failed = [c for c in grid.cells if c.accuracy is None]
     if failed:
         for c in failed:
@@ -396,14 +363,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"extraction median ({args.runs} runs, 224x224, L=40): {median * 1e3:.4f} ms")
         out_data["extract_median_seconds"] = median
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "bench.json").write_text(json.dumps(out_data, indent=2, sort_keys=True) + "\n")
-        _record(args.out, "bench", args)
     return 0
-
-
-class UsageError(Exception):
-    """Bad invocation that argparse could not catch on its own."""
 
 
 _COMMANDS = {
@@ -418,22 +379,35 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(f"usage error: {problem}", file=sys.stderr)
+        return 2
+    out = getattr(args, "out", None)
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # FileExistsError when --out names a file
+            print(f"error: cannot use --out {out} as the output directory: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 1
+    error = None
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"seed must be >= 0, got {args.seed}")
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        exit_code = _COMMANDS[args.command](args)
     except (ValidationError, FormatError, CheckpointError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error = f"error: {exc}"
     except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
-        return 1
+        error = f"error: out of memory: {str(exc) or 'an allocation failed'}"
+    if error is not None:
+        print(error, file=sys.stderr)
+        exit_code = 1
+    if out is not None:
+        _record(args, exit_code, error)
+    return exit_code
 
 
 if __name__ == "__main__":

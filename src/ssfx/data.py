@@ -333,6 +333,11 @@ class SynthSpec:
             raise ValidationError("samples_per_class must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if self.global_width < 0:
+            raise ValidationError(f"global_width must be >= 0, got {self.global_width}")
+        if not (math.isfinite(self.global_sigma) and self.global_sigma >= 0):
+            raise ValidationError("global_sigma must be non-negative and finite, "
+                                  f"got {self.global_sigma}")
         if self.global_groups is not None:
             if self.global_width < 1:
                 raise ValidationError("global_groups given but global_width is 0")

@@ -188,6 +188,8 @@ def measure_complexity(model: Model, iterations: int = 1000,
     """
     if iterations < 1000:
         raise ValidationError(f"throughput needs >= 1000 measured iterations, got {iterations}")
+    if warmup < 0:
+        raise ValidationError(f"warmup must be >= 0, got {warmup}")
     flops = model.flop_count()
     params = param_count(model)
 

@@ -22,6 +22,7 @@ layers. Backward skips a branch whose parameters are all frozen.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -500,7 +501,12 @@ _STAGE_MODEL = {"semantic_only": "semantic", "step1_global": "global", "step2_fu
 
 
 def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoint, list[dict]]:
-    """Run the training loop; returns the final checkpoint and per-epoch metrics."""
+    """Run the training loop; returns the final checkpoint and per-epoch metrics.
+
+    Each epoch gives a ``train`` and a ``test`` line with the split's loss,
+    accuracy and ``seconds``: the wall time of the step loop, or of the test
+    pass. The checkpoint's ``final_metrics`` keep only loss and accuracy.
+    """
     kind = model.kind
     if _STAGE_MODEL[plan.stage] != kind:
         raise ValidationError(f"stage {plan.stage!r} cannot train a {kind!r} model")
@@ -524,6 +530,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
 
     metrics: list[dict] = []
     try:
+        start = time.perf_counter()
         for epoch in range(plan.epochs):
             epoch_loss = 0.0
             correct = 0
@@ -539,13 +546,16 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                 epoch_loss += loss * len(labels)
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
             n_train = max(1, len(data.train_idx))
+            trained = time.perf_counter()
             test_loss, test_acc = _run_split(model, data, data.test_idx, plan.batch_size)
+            tested = time.perf_counter()
             if not np.isfinite(test_loss):
                 raise ArithmeticError(f"training diverged: test loss {test_loss} at epoch {epoch}")
-            metrics.append({"epoch": epoch, "split": "train",
-                            "loss": epoch_loss / n_train, "accuracy": correct / n_train})
-            metrics.append({"epoch": epoch, "split": "test",
-                            "loss": test_loss, "accuracy": test_acc})
+            metrics.append({"epoch": epoch, "split": "train", "loss": epoch_loss / n_train,
+                            "accuracy": correct / n_train, "seconds": trained - start})
+            metrics.append({"epoch": epoch, "split": "test", "loss": test_loss,
+                            "accuracy": test_acc, "seconds": tested - trained})
+            start = tested
     finally:
         # Free Adam's moments and the step buffers before the checkpoint
         # copies the parameters, and do not keep them past a failed run.

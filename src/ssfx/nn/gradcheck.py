@@ -95,6 +95,8 @@ def grad_check(
     loss_fn=softmax_cross_entropy,
 ) -> GradCheckReport:
     """Compare every parameter block's analytic gradient against central differences."""
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be positive and finite, got {tolerance}")
     if len(labels) == 0:
         raise ValidationError("gradient check needs a non-empty batch")
     if sample_per_block is not None and sample_per_block < 1:

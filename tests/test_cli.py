@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, artifacts, reproducibility, env overrides."""
+"""CLI contract: exit codes, artifacts, run records, reproducibility."""
 import json
 import os
 import shutil
@@ -29,6 +29,16 @@ def assert_environment(record):
     assert env["thread_variables"] == {k: os.environ.get(k) for k in
                                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS")}
+
+
+def read_record(out_dir, command):
+    """A record of a run that succeeded, with the same keys as every record."""
+    record = json.loads((out_dir / "run_record.json").read_text())
+    assert set(record) == {"command", "config", "version", "environment", "exit_code", "error"}
+    assert record["command"] == command
+    assert record["exit_code"] == 0 and record["error"] is None
+    assert_environment(record)
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +286,32 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
         assert not (tmp_path / "out" / "model.ssfc").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bench", "--warmup", "-5"], "warmup must be >= 0, got -5"),
+        (["gradcheck", "--tol", "nan"], "tolerance must be positive and finite, got nan"),
+        (["gradcheck", "--tol", "0"], "tolerance must be positive and finite, got 0.0"),
+    ], ids=["bench-warmup", "gradcheck-tol-nan", "gradcheck-tol-zero"])
+    def test_bad_measurement_option_is_one_line_data_error(self, capsys, argv, message):
+        rc = main([argv[0], "--model", "ssf-nn", "--L", "4", "--classes", "3", *argv[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "FAIL" not in captured.out and "throughput" not in captured.out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--global-width", "-1"], "global_width must be >= 0"),
+        (["--global-sigma", "nan"], "global_sigma must be non-negative and finite"),
+        (["--global-sigma", "-0.5"], "global_sigma must be non-negative and finite"),
+    ], ids=["width", "sigma-nan", "sigma-negative"])
+    def test_bad_synth_global_option_writes_no_masks(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "data"
+        rc = main(["synth", "--out", str(out), "--variant", "split-info", "--samples", "2",
+                   *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+        assert sorted(p.name for p in out.iterdir()) == ["run_record.json"]
+
     def test_help_exits_zero_and_names_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["train", "--help"])
@@ -329,6 +365,8 @@ class TestExtract:
         written = list(out.glob("*.csv"))
         assert len(written) == 36 - 1  # every healthy mask still extracted
         assert "extracted 35 of 36" in captured.out
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["exit_code"] == 1 and record["error"] is None
 
     def test_threaded_extraction_matches_serial(self, large_dir, tmp_path, monkeypatch):
         manifest = str(large_dir / "dataset.manifest")
@@ -370,13 +408,11 @@ class TestExtract:
 class TestSynthTrainEval:
     def test_synth_writes_manifest_and_record(self, synth_dir):
         assert (synth_dir / "dataset.manifest").exists()
-        record = json.loads((synth_dir / "run_record.json").read_text())
-        assert record["command"] == "synth"
+        record = read_record(synth_dir, "synth")
         assert record["config"]["samples"] == 6
         assert record["config"]["seed"] == 3
         assert "version" in record
         assert not any("time" in k.lower() or "date" in k.lower() for k in record)
-        assert_environment(record)
 
     def test_record_names_no_blas_when_numpy_cannot_say(self, tmp_path, monkeypatch):
         def old_show_config(mode="stdout"):
@@ -407,10 +443,11 @@ class TestSynthTrainEval:
         assert (run / "model.ssfc.meta.json").exists()
         metrics = [json.loads(ln) for ln in (run / "metrics.jsonl").read_text().splitlines()]
         assert len(metrics) == 6
-        record = json.loads((run / "run_record.json").read_text())
+        assert [m["split"] for m in metrics] == ["train", "test"] * 3
+        assert all(np.isfinite(m["seconds"]) and m["seconds"] > 0 for m in metrics)
+        record = read_record(run, "train")
         assert record["config"]["head"] == "nn"
         assert record["config"]["subset"] == "pc,ap,sd"
-        assert_environment(record)
 
         capsys.readouterr()
         rc = main(["eval", "--manifest", str(synth_dir / "dataset.manifest"),
@@ -420,6 +457,7 @@ class TestSynthTrainEval:
         report = json.loads((tmp_path / "ev" / "report.json").read_text())
         assert report["total"] == 12  # 6 classes x 2 test samples
         assert (tmp_path / "ev" / "confusion.csv").read_text().startswith("true\\pred,")
+        assert read_record(tmp_path / "ev", "eval")["config"]["split"] == "test"
 
     def test_training_is_bit_reproducible(self, synth_dir, tmp_path):
         args = ["train", "--manifest", str(synth_dir / "dataset.manifest"),
@@ -429,7 +467,12 @@ class TestSynthTrainEval:
         assert main(args + ["--out", str(b)]) == 0
         ca, cb = load_checkpoint(a / "model.ssfc"), load_checkpoint(b / "model.ssfc")
         assert ca.block_hashes() == cb.block_hashes()
-        assert (a / "metrics.jsonl").read_bytes() == (b / "metrics.jsonl").read_bytes()
+
+        def without_seconds(run):
+            return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+                    for line in (run / "metrics.jsonl").read_text().splitlines()]
+
+        assert without_seconds(a) == without_seconds(b)
 
     def test_two_step_flow_freezes_global_branch(self, tmp_path, capsys):
         data_dir = tmp_path / "si"
@@ -474,6 +517,7 @@ class TestAblateCommand:
         assert len(grid["cells"]) == 14
         networks = {c["network"] for c in grid["cells"]}
         assert networks == {"cnn", "nn"}
+        assert read_record(out, "ablate")["config"]["epochs"] == 1
 
 
 class TestGradcheckCommand:
@@ -506,6 +550,7 @@ class TestBenchCommand:
         data = json.loads((out / "bench.json").read_text())
         assert data["model"] == "ssf-nn"
         assert data["mac_count"] * 2 == data["flops"]
+        assert read_record(out, "bench")["config"]["warmup"] == 10
 
     def test_extraction_timing_flag(self, tmp_path, capsys):
         rc = main(["bench", "--model", "ssf-nn", "--L", "6", "--classes", "3",
@@ -517,33 +562,65 @@ class TestBenchCommand:
         assert data["extract_median_seconds"] > 0
 
 
-class TestEnvOverrides:
-    def test_env_sets_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSFX_SEED", "9")
-        out = tmp_path / "env"
-        assert main(["synth", "--out", str(out), "--samples", "4", "--noise", "0.0"]) == 0
-        record = json.loads((out / "run_record.json").read_text())
-        assert record["config"]["seed"] == 9
+class TestFlagsOnly:
+    """Options come from flags alone; SSFX_* variables are ordinary environment."""
 
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSFX_SEED", "9")
-        out = tmp_path / "env"
-        assert main(["synth", "--out", str(out), "--samples", "4", "--noise", "0.0",
-                     "--seed", "3"]) == 0
-        record = json.loads((out / "run_record.json").read_text())
-        assert record["config"]["seed"] == 3
+    def test_environment_value_outside_another_commands_choices_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("SSFX_MODEL", "fusion")
+        assert main(["gradcheck", "--model", "fusion", "--L", "4", "--classes", "3",
+                     "--sample-per-block", "8"]) == 0
 
-    def test_invalid_env_value_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv("SSFX_EPOCHS", "many")
-        with pytest.raises(SystemExit) as err:
-            main(["synth", "--out", "/tmp/x"])
-        assert err.value.code == 2
-
-    def test_invalid_env_choice_is_usage_error(self, monkeypatch):
+    def test_environment_sets_no_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SSFX_FORMAT", "xml")
-        with pytest.raises(SystemExit) as err:
-            main(["extract"])
-        assert err.value.code == 2
+        monkeypatch.setenv("SSFX_SEED", "9")
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--samples", "2"]) == 0
+        assert read_record(out, "synth")["config"]["seed"] == 7
+
+
+class TestRunRecord:
+    def test_failed_train_records_its_error_and_writes_no_checkpoint(self, synth_dir,
+                                                                    tmp_path, capsys):
+        run = tmp_path / "run"
+        rc = main(["train", "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--head", "nn", "--epochs", "1", "--lr", "1e9", "--out", str(run)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in run.iterdir()) == ["run_record.json"]
+        record = json.loads((run / "run_record.json").read_text())
+        assert record["exit_code"] == 1 and record["error"] == err.rstrip("\n")
+        assert record["command"] == "train" and record["config"]["lr"] == 1e9
+        assert_environment(record)
+
+    @pytest.mark.parametrize("command", ["train", "extract"])
+    def test_out_naming_a_file_is_one_line_error_and_writes_nothing(self, synth_dir, tmp_path,
+                                                                     capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        rc = main([command, "--manifest", str(synth_dir / "dataset.manifest"),
+                   "--out", str(taken)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert str(taken) in captured.err
+        assert taken.read_text() == "not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_usage_error_writes_no_record(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["train", "--stage", "step2", "--manifest", str(tmp_path / "m"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_gradcheck_has_no_out_and_writes_no_record(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gradcheck", "--model", "ssf-nn", "--L", "4", "--classes", "3",
+                     "--sample-per-block", "8"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConsoleScript:

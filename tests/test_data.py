@@ -356,6 +356,15 @@ class TestSynthSpecValidation:
         with pytest.raises(ValidationError, match="group index"):
             tiny_spec(global_width=2, global_groups=(0, 2))
 
+    def test_negative_global_width_rejected(self):
+        with pytest.raises(ValidationError, match="global_width must be >= 0, got -1"):
+            tiny_spec(global_width=-1)
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_global_sigma_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="global_sigma must be non-negative and finite"):
+            tiny_spec(global_width=4, global_sigma=sigma)
+
 
 class TestRecipeTargets:
     def test_closed_form_for_hand_built_blob(self):
@@ -516,7 +525,9 @@ class TestTwoWorkers:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 1.00 TiB\n"
         assert threading.active_count() == before
-        assert not (tmp_path / "run").exists()
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["run_record.json"]
+        record = json.loads((tmp_path / "run" / "run_record.json").read_text())
+        assert record["exit_code"] == 1 and record["error"] == err.rstrip("\n")
 
     def test_helper_stops_once_the_first_half_fails(self, monkeypatch):
         # Items 1-3 are the calling thread's, 4-6 the helper's. Item 1 fails

@@ -192,6 +192,12 @@ class TestComplexity:
         with pytest.raises(ValidationError, match="1000"):
             measure_complexity(model, iterations=999)
 
+    def test_negative_warmup_rejected(self):
+        rng = np.random.default_rng(2)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
+        with pytest.raises(ValidationError, match="warmup must be >= 0, got -5"):
+            measure_complexity(model, iterations=1000, warmup=-5)
+
     def test_report_text_mentions_all_figures(self):
         rng = np.random.default_rng(3)
         model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))

@@ -134,6 +134,14 @@ class TestGradCheckGuards:
         with pytest.raises(ValidationError, match=f"sample_per_block must be >= 1, got {sample}"):
             grad_check(model, ssf, None, labels, sample_per_block=sample)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_tolerance_not_positive_and_finite_rejected(self, tolerance):
+        rng = np.random.default_rng(12)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
+        ssf, _, labels = small_inputs(rng)
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            grad_check(model, ssf, None, labels, tolerance=tolerance)
+
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(11)
         model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))

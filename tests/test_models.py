@@ -403,7 +403,8 @@ class TestTrainingLoop:
         _, metrics = train(self.plan(epochs=3), data, model)
         assert len(metrics) == 6
         assert [m["split"] for m in metrics] == ["train", "test"] * 3
-        assert all(set(m) == {"epoch", "split", "loss", "accuracy"} for m in metrics)
+        assert all(set(m) == {"epoch", "split", "loss", "accuracy", "seconds"} for m in metrics)
+        assert all(np.isfinite(m["seconds"]) and m["seconds"] > 0 for m in metrics)
         assert [m["epoch"] for m in metrics] == [0, 0, 1, 1, 2, 2]
 
     def test_training_is_deterministic(self):
