@@ -303,11 +303,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if args.out is not None:
         (args.out / "ablation.json").write_text(json.dumps(grid.to_dict(), indent=2) + "\n")
     failed = [c for c in grid.cells if c.accuracy is None]
-    if failed:
-        for c in failed:
-            print(f"error: cell ({c.subset_label}, {c.head}): {c.error}", file=sys.stderr)
-        return 1
-    return 0
+    for c in failed:
+        print(f"error: cell ({c.subset_label}, {c.head}): {c.error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
@@ -332,7 +330,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     target = model
     if args.negative_control:
         block = model.parameters()[0][0]
-        target = CorruptedGradients(model, block, scale=2.0)
+        target = CorruptedGradients(model, block)
     report = grad_check(target, ssf, global_vec, labels, tolerance=args.tol,
                         sample_per_block=sample, rng=np.random.default_rng(args.seed + 1))
     for line in report.summary_lines():

@@ -51,6 +51,8 @@ __all__ = [
 MANIFEST_KIND = "ssfx-manifest"
 MANIFEST_VERSION = 1
 SPLITS = ("train", "test")
+# Share of each class's synthetic samples that go to the train split.
+TRAIN_FRACTION = 0.7
 # Masks of at least this many pixels are read on two threads (``map_masks``);
 # smaller ones lose to one thread, as their work holds the interpreter lock.
 TWO_WORKER_PIXELS = 65536
@@ -316,7 +318,6 @@ class SynthSpec:
     samples_per_class: int
     noise: float
     seed: int
-    train_fraction: float = 0.7
     global_width: int = 0
     global_groups: tuple[int, ...] | None = None  # class -> Gaussian mean group
     global_sigma: float = 0.25
@@ -331,8 +332,6 @@ class SynthSpec:
             raise ValidationError(f"noise must lie in [0, 1), got {self.noise}")
         if self.samples_per_class < 1:
             raise ValidationError("samples_per_class must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValidationError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.global_width < 0:
             raise ValidationError(f"global_width must be >= 0, got {self.global_width}")
         if not (math.isfinite(self.global_sigma) and self.global_sigma >= 0):
@@ -447,9 +446,9 @@ def generate_synthetic(spec: SynthSpec, out_dir: str | Path) -> Path:
     if spec.global_width:
         (out / "global").mkdir(parents=True, exist_ok=True)
 
-    n_train = round(spec.train_fraction * spec.samples_per_class)
+    n_train = round(TRAIN_FRACTION * spec.samples_per_class)
     if n_train == 0 or n_train == spec.samples_per_class:
-        raise ValidationError(f"train fraction {spec.train_fraction} leaves an empty split "
+        raise ValidationError(f"train fraction {TRAIN_FRACTION} leaves an empty split "
                               f"at {spec.samples_per_class} samples per class")
     entries: list[ManifestEntry] = []
     for cls in range(spec.num_classes):

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LoadedDataset, ordered_batches
+from .data import LoadedDataset
 from .features import FeatureSubset
 from .mask import SegmentationMask, ValidationError
-from .models import (BATCH_SIZE, Model, TrainPlan, build_semantic_classifier, forward_batches,
-                     param_count, train)
+from .models import (BATCH_SIZE, Model, TrainPlan, build_semantic_classifier, param_count,
+                     score_split, train)
 from .nn import CheckpointError
 
 __all__ = [
@@ -72,7 +72,7 @@ class EvalReport:
 def evaluate(model, data: LoadedDataset, split: str = "test") -> EvalReport:
     """Confusion-matrix evaluation of a classifier over one split.
 
-    Runs forward passes in batches of the training batch size, then releases
+    Runs ``score_split`` in batches of the training batch size, then releases
     the model's buffers.
     """
     idx = {"train": data.train_idx, "test": data.test_idx}.get(split)
@@ -80,17 +80,12 @@ def evaluate(model, data: LoadedDataset, split: str = "test") -> EvalReport:
         raise ValidationError(f"unknown split {split!r}")
     if len(idx) == 0:
         raise ValidationError(f"split {split!r} is empty")
-    c = data.num_classes
-    confusion = np.zeros((c, c), dtype=np.int64)
     try:
-        for logits, labels in forward_batches(model, data, ordered_batches(idx, BATCH_SIZE)):
-            np.add.at(confusion, (labels, np.argmax(logits, axis=1)), 1)
+        _, confusion = score_split(model, data, idx, BATCH_SIZE)
     finally:
         model.release()
     support = confusion.sum(axis=1)
-    per_class = tuple(
-        float(confusion[i, i] / support[i]) if support[i] else 0.0 for i in range(c)
-    )
+    per_class = tuple(float(confusion[i, i] / n) if n else 0.0 for i, n in enumerate(support))
     return EvalReport(accuracy=float(np.trace(confusion) / confusion.sum()),
                       per_class_accuracy=per_class, confusion=confusion,
                       total=int(confusion.sum()))
@@ -131,24 +126,25 @@ def run_ablation(data: LoadedDataset, epochs: int = 60, batch_size: int = BATCH_
                  seed: int = 0) -> AblationGrid:
     """Train one semantic classifier per (subset, head) pair and report test accuracy.
 
-    Every cell uses the same seed and training budget. A cell that fails
-    with a domain error (invalid input, a bad checkpoint, a diverging run)
-    is recorded with its error message and the rest of the grid still runs;
-    any other exception is a program error and propagates.
+    Every cell uses the same seed and plan; its accuracy is the final test
+    accuracy that ``train`` measured. An invalid plan or an empty split is
+    refused before the grid. A cell failing with a domain error (invalid
+    input, a bad checkpoint, a diverging run) is recorded with its message and
+    the grid runs on; any other exception is a program error and propagates.
     """
+    plan = TrainPlan(stage="semantic_only", epochs=epochs, batch_size=batch_size,
+                     learning_rate=learning_rate, weight_decay=weight_decay, seed=seed)
+    for split, idx in (("train", data.train_idx), ("test", data.test_idx)):
+        if len(idx) == 0:
+            raise ValidationError(f"split {split!r} is empty")
     cells: list[AblationCell] = []
     for subset in GRID_SUBSETS:
         for head in GRID_HEADS:
             try:
-                rng = np.random.default_rng(seed)
                 model = build_semantic_classifier(head, subset, data.num_categories,
-                                                  data.num_classes, rng)
-                plan = TrainPlan(stage="semantic_only", epochs=epochs, batch_size=batch_size,
-                                 learning_rate=learning_rate, weight_decay=weight_decay,
-                                 seed=seed)
-                train(plan, data, model)
-                report = evaluate(model, data, "test")
-                cells.append(AblationCell(subset.label(), head, report.accuracy))
+                                                  data.num_classes, np.random.default_rng(seed))
+                _, metrics = train(plan, data, model)
+                cells.append(AblationCell(subset.label(), head, metrics[-1]["accuracy"]))
             except (ValidationError, CheckpointError, ArithmeticError) as exc:
                 cells.append(AblationCell(subset.label(), head, None, error=str(exc)))
     return AblationGrid(cells=tuple(cells))

@@ -66,6 +66,7 @@ __all__ = [
     "train",
     "predict",
     "forward_batches",
+    "score_split",
 ]
 
 # Samples per training step, and per batch of every forward-only pass.
@@ -477,24 +478,32 @@ def predict(model, ssf: np.ndarray | None, global_vec: np.ndarray | None = None
 def forward_batches(model, data: LoadedDataset, batches):
     """Run ``model.forward`` on each index batch in turn; yields its logits and labels.
 
-    Layers cache what a backward pass would need, so a caller that runs no
-    backward calls ``model.release()`` when it is done.
+    The one loop over a split, for training steps, test passes and ``evaluate``.
+    Logits not ``data.num_classes`` wide raise a ``ValidationError`` at the
+    first batch, before any step. A caller that runs no backward calls
+    ``model.release()`` after, to drop what the layers cached for one.
     """
     for sel in batches:
         g = None if data.global_vecs is None else data.global_vecs[sel]
-        yield model.forward(data.ssf[sel], g), data.labels[sel]
+        logits = model.forward(data.ssf[sel], g)
+        if logits.shape[1] != data.num_classes:
+            raise ValidationError(f"model has {logits.shape[1]} classes but the dataset has "
+                                  f"{data.num_classes}")
+        yield logits, data.labels[sel]
 
 
-def _run_split(model, data: LoadedDataset, idx: np.ndarray, batch_size: int) -> tuple[float, float]:
-    """Forward-only loss and accuracy over the given sample indices, in order."""
+def score_split(model, data: LoadedDataset, idx: np.ndarray,
+                batch_size: int) -> tuple[float, np.ndarray]:
+    """Mean loss and confusion matrix (rows true class, columns predicted) of a
+    forward-only pass over ``idx`` in batches, adding the batch losses in order.
+    The caller releases the model's buffers."""
+    confusion = np.zeros((data.num_classes,) * 2, dtype=np.int64)
     total_loss = 0.0
-    correct = 0
     for logits, labels in forward_batches(model, data, ordered_batches(idx, batch_size)):
         loss, _ = softmax_cross_entropy(logits, labels)
         total_loss += loss * len(labels)
-        correct += int((np.argmax(logits, axis=1) == labels).sum())
-    n = max(1, len(idx))
-    return total_loss / n, correct / n
+        np.add.at(confusion, (labels, np.argmax(logits, axis=1)), 1)
+    return total_loss / max(1, len(idx)), confusion
 
 
 _STAGE_MODEL = {"semantic_only": "semantic", "step1_global": "global", "step2_fusion": "fusion"}
@@ -512,6 +521,9 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
         raise ValidationError(f"stage {plan.stage!r} cannot train a {kind!r} model")
     if kind in ("global", "fusion") and data.global_vecs is None:
         raise ValidationError("dataset has no global feature vectors")
+    n_train = len(data.train_idx)
+    if n_train == 0:
+        raise ValidationError("split 'train' is empty")
 
     frozen = set(plan.frozen)
     all_names = [name for name, _ in model.parameters()]
@@ -545,9 +557,9 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                 model.zero_grad()
                 epoch_loss += loss * len(labels)
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
-            n_train = max(1, len(data.train_idx))
             trained = time.perf_counter()
-            test_loss, test_acc = _run_split(model, data, data.test_idx, plan.batch_size)
+            test_loss, confusion = score_split(model, data, data.test_idx, plan.batch_size)
+            test_acc = int(np.trace(confusion)) / max(1, len(data.test_idx))
             tested = time.perf_counter()
             if not np.isfinite(test_loss):
                 raise ArithmeticError(f"training diverged: test loss {test_loss} at epoch {epoch}")

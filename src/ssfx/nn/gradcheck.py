@@ -57,15 +57,14 @@ class GradCheckReport:
 
 
 class CorruptedGradients:
-    """Wrap a model and scale one parameter block's gradient; negative control."""
+    """Wrap a model and double one parameter block's gradient; negative control."""
 
-    def __init__(self, model, block_name: str, scale: float = 2.0) -> None:
+    def __init__(self, model, block_name: str) -> None:
         self.model = model
         names = [name for name, _ in model.parameters()]
         if block_name not in names:
             raise ValidationError(f"unknown parameter block {block_name!r}; have {names}")
         self.block_name = block_name
-        self.scale = scale
 
     def forward(self, ssf, global_vec=None):
         return self.model.forward(ssf, global_vec)
@@ -74,7 +73,7 @@ class CorruptedGradients:
         self.model.backward(grad_logits)
         for name, tensor in self.model.parameters():
             if name == self.block_name and tensor.grad is not None:
-                tensor.grad *= self.scale
+                tensor.grad *= 2.0
 
     def parameters(self):
         return self.model.parameters()

@@ -331,10 +331,6 @@ class Sequential:
                 out.append((f"{name}.{pname}", tensor))
         return out
 
-    def zero_grad(self) -> None:
-        for _, tensor in self.params():
-            tensor.zero_grad()
-
     def release(self) -> None:
         """Drop every buffer the layers keep between calls."""
         for _, layer in self.layers:

@@ -3,11 +3,14 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssfx
 import ssfx.data as data_module
 from ssfx.cli import main
 from ssfx.io import read_feature_matrix, write_pgm
@@ -39,6 +42,17 @@ def read_record(out_dir, command):
     assert record["exit_code"] == 0 and record["error"] is None
     assert_environment(record)
     return record
+
+
+def derived_manifest(src_dir, dst_dir, keep, **header):
+    """Copy a synthetic dataset to ``dst_dir`` and rewrite its manifest to hold
+    only the entries ``keep`` accepts, with ``header``'s fields replaced."""
+    shutil.copytree(src_dir, dst_dir)
+    path = dst_dir / "dataset.manifest"
+    lines = path.read_text().splitlines()
+    entries = [ln for ln in lines[1:] if keep(json.loads(ln))]
+    path.write_text("\n".join([json.dumps({**json.loads(lines[0]), **header})] + entries) + "\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +300,33 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
         assert not (tmp_path / "out" / "model.ssfc").exists()
 
+    def test_eval_of_another_class_count_is_one_line_data_error(self, synth_dir, tmp_path,
+                                                                capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--manifest", str(synth_dir / "dataset.manifest"),
+                     "--head", "cnn", "--epochs", "1", "--out", str(run)]) == 0
+        two = derived_manifest(synth_dir, tmp_path / "two", lambda e: e["label"] < 2,
+                               num_classes=2)
+        capsys.readouterr()
+        rc = main(["eval", "--manifest", str(two), "--checkpoint", str(run / "model.ssfc"),
+                   "--split", "train", "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: model has 6 classes but the dataset has 2\n"
+        assert not (tmp_path / "ev" / "report.json").exists()
+
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("ablate", "train"),
+                                               ("ablate", "test")])
+    def test_empty_split_is_one_line_data_error(self, synth_dir, tmp_path, capsys, command,
+                                                split):
+        manifest = derived_manifest(synth_dir, tmp_path / "set", lambda e: e["split"] != split)
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", str(manifest), "--epochs", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: split '{split}' is empty\n"
+        assert sorted(p.name for p in out.iterdir()) == ["run_record.json"]
+
     @pytest.mark.parametrize("argv,message", [
         (["bench", "--warmup", "-5"], "warmup must be >= 0, got -5"),
         (["gradcheck", "--tol", "nan"], "tolerance must be positive and finite, got nan"),
@@ -519,6 +560,18 @@ class TestAblateCommand:
         assert networks == {"cnn", "nn"}
         assert read_record(out, "ablate")["config"]["epochs"] == 1
 
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch"])
+    def test_invalid_plan_is_one_error_line_and_no_grid(self, synth_dir, tmp_path, capsys,
+                                                        flag):
+        out = tmp_path / "grid"
+        rc = main(["ablate", "--manifest", str(synth_dir / "dataset.manifest"), flag, "0",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: epochs and batch_size must be positive\n"
+        assert sorted(p.name for p in out.iterdir()) == ["run_record.json"]
+
 
 class TestGradcheckCommand:
     def test_small_nn_model_passes(self, capsys):
@@ -624,6 +677,26 @@ class TestRunRecord:
 
 
 class TestConsoleScript:
+    @staticmethod
+    def run_module(*argv):
+        """Run ``python -m ssfx.cli`` in a fresh process with this checkout's sources."""
+        env = {**os.environ, "PYTHONPATH": str(Path(ssfx.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, "-m", "ssfx.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    def test_module_entry_point_reports_version(self):
+        proc = self.run_module("--version")
+        assert proc.returncode == 0
+        assert proc.stdout == f"ssfx {ssfx.__version__}\n"
+
+    def test_module_entry_point_usage_error_exits_2(self, tmp_path):
+        proc = self.run_module("train", "--stage", "step2", "--manifest", str(tmp_path / "m"),
+                               "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("usage error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_installed_entry_point_reports_version(self):
         exe = shutil.which("ssfx")
         if exe is None:

@@ -14,7 +14,7 @@ from ssfx.evaluation import (
 )
 from ssfx.features import FeatureSubset
 from ssfx.mask import SegmentationMask, ValidationError
-from ssfx.models import BATCH_SIZE, build_semantic_classifier
+from ssfx.models import BATCH_SIZE, TrainPlan, build_semantic_classifier, train
 
 
 class FixedPredictions:
@@ -146,6 +146,48 @@ class TestAblationGrid:
         with pytest.raises(TypeError, match="injected programming error"):
             run_ablation(tiny_ablation_data, epochs=1, batch_size=16,
                          learning_rate=1e-3, seed=0)
+
+    def test_cell_accuracy_is_the_evaluated_test_accuracy(self, tiny_ablation_data):
+        data = tiny_ablation_data
+        grid = run_ablation(data, epochs=2, learning_rate=1e-3, seed=5)
+        plan = TrainPlan(stage="semantic_only", epochs=2, learning_rate=1e-3, seed=5)
+        for subset in GRID_SUBSETS:
+            for head in ("cnn", "nn"):
+                model = build_semantic_classifier(head, subset, data.num_categories,
+                                                  data.num_classes, np.random.default_rng(5))
+                train(plan, data, model)
+                assert (grid.accuracy(subset.label(), head)
+                        == evaluate(model, data, "test").accuracy)
+
+    def test_grid_runs_the_test_split_once_per_epoch(self, tiny_ablation_data, monkeypatch):
+        real_score = evaluation.score_split
+        passes = []
+
+        def counted(model, data, idx, batch_size):
+            passes.append(len(idx))
+            return real_score(model, data, idx, batch_size)
+
+        monkeypatch.setattr(evaluation, "score_split", counted)
+        monkeypatch.setattr("ssfx.models.score_split", counted)
+        run_ablation(tiny_ablation_data, epochs=2, learning_rate=1e-3, seed=0)
+        assert passes == [len(tiny_ablation_data.test_idx)] * 14 * 2
+
+    @pytest.mark.parametrize("options", [{"epochs": 0}, {"batch_size": 0},
+                                         {"learning_rate": float("nan")}],
+                             ids=["epochs", "batch", "lr"])
+    def test_invalid_plan_is_refused_before_the_grid(self, tiny_ablation_data, monkeypatch,
+                                                     options):
+        monkeypatch.setattr(evaluation, "train", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ValidationError, match="must be positive"):
+            run_ablation(tiny_ablation_data, **{"epochs": 1, **options})
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_is_refused_before_the_grid(self, tiny_ablation_data, monkeypatch,
+                                                    split):
+        data = LoadedDataset(**{**vars(tiny_ablation_data), f"{split}_idx": np.arange(0)})
+        monkeypatch.setattr(evaluation, "train", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ValidationError, match=f"split '{split}' is empty"):
+            run_ablation(data, epochs=1)
 
     def test_unknown_cell_lookup_rejected(self):
         grid = AblationGrid(cells=())

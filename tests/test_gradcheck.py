@@ -87,7 +87,8 @@ class TestGradCheckPasses:
                 return self.net.params()
 
             def zero_grad(self):
-                self.net.zero_grad()
+                for _, tensor in self.net.params():
+                    tensor.zero_grad()
 
         def quadratic(logits, labels):
             return float(np.mean(logits**2)), 2.0 * logits / logits.size
@@ -103,7 +104,7 @@ class TestGradCheckCatchesCorruption:
     def test_scaled_gradient_block_fails(self):
         rng = np.random.default_rng(5)
         model = build_semantic_classifier("nn", FeatureSubset(), 4, 3, rng, hidden=(8, 12))
-        corrupted = CorruptedGradients(model, "head.fc1.weight", scale=2.0)
+        corrupted = CorruptedGradients(model, "head.fc1.weight")
         ssf, _, labels = small_inputs(rng)
         report = grad_check(corrupted, ssf, None, labels)
         assert not report.passed

@@ -22,9 +22,10 @@ from ssfx.models import (
     load_model,
     param_count,
     predict,
+    score_split,
     train,
 )
-from ssfx.nn import Checkpoint, CheckpointError, Sequential, save_checkpoint
+from ssfx.nn import Adam, Checkpoint, CheckpointError, Sequential, save_checkpoint, softmax
 
 
 def toy_dataset(n_per_class=20, L=4, classes=2, global_width=None, seed=0):
@@ -482,6 +483,59 @@ class TestTrainingLoop:
                                           np.random.default_rng(0), hidden=(8, 12))
         with pytest.raises(ValidationError, match="not in model"):
             train(self.plan(frozen=("ghost.weight",)), data, model)
+
+    @pytest.mark.parametrize("model_classes", [3, 6])
+    def test_class_count_mismatch_is_refused_before_any_step(self, model_classes, monkeypatch):
+        data = toy_dataset(classes=2)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, model_classes,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        before = {name: t.data.copy() for name, t in model.parameters()}
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+        with pytest.raises(ValidationError,
+                           match=f"model has {model_classes} classes but the dataset has 2"):
+            train(self.plan(), data, model)
+        assert steps == []
+        for name, t in model.parameters():
+            np.testing.assert_array_equal(t.data, before[name])
+
+    def test_empty_training_split_is_refused(self):
+        data = toy_dataset()
+        data.train_idx = data.train_idx[:0]
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        with pytest.raises(ValidationError, match="split 'train' is empty"):
+            train(self.plan(), data, model)
+
+    def test_test_line_is_the_score_of_the_trained_model(self):
+        data = toy_dataset(classes=3)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        _, metrics = train(self.plan(epochs=2), data, model)
+        loss, confusion = score_split(model, data, data.test_idx, 8)
+        model.release()
+        assert metrics[-1]["loss"] == loss
+        assert metrics[-1]["accuracy"] == np.trace(confusion) / len(data.test_idx)
+        assert metrics[-1]["accuracy"] == evaluate(model, data, "test").accuracy
+
+
+class TestScoreSplit:
+    def test_loss_and_confusion_match_a_direct_computation(self):
+        data = toy_dataset(n_per_class=9, classes=3)
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 3,
+                                          np.random.default_rng(2), hidden=(8, 12))
+        idx = data.test_idx
+        loss, confusion = score_split(model, data, idx, 4)
+        logits = model.forward(data.ssf[idx])
+        model.release()
+        labels = data.labels[idx]
+        np.testing.assert_allclose(
+            loss, -np.mean(np.log(softmax(logits)[np.arange(len(idx)), labels])), rtol=1e-12)
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for true, predicted in zip(labels, np.argmax(logits, axis=1)):
+            expected[true, predicted] += 1
+        np.testing.assert_array_equal(confusion, expected)
+        assert confusion.sum() == len(idx)
 
 
 class TestTwoStepProtocol:
