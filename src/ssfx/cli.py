@@ -238,6 +238,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     stage = _STAGE_NAMES[args.stage]
+    # Read the step-1 base before clearing --out, which may hold it.
+    base = load_checkpoint(args.from_checkpoint) if stage == "step2_fusion" else None
+    for name in ("model.ssfc", "model.ssfc.meta.json", "metrics.jsonl"):
+        (args.out / name).unlink(missing_ok=True)
     manifest = load_manifest(args.manifest)
     data = load_dataset(manifest)
     rng = np.random.default_rng(args.seed)
@@ -255,7 +259,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         if data.global_vecs is None:
             raise ValidationError("manifest has no global feature vectors; step 2 needs them")
-        base = load_checkpoint(args.from_checkpoint)
         base_width = check_descriptor(base.descriptor).get("global_width",
                                                              FusionConfig.global_width)
         cfg = FusionConfig(global_input_width=data.global_vecs.shape[1],

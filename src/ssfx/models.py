@@ -21,7 +21,6 @@ layers. Backward skips a branch whose parameters are all frozen.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -44,6 +43,7 @@ from .nn import (
     Tensor,
     softmax_cross_entropy,
 )
+from .nn.optim import check_rates
 
 __all__ = [
     "BATCH_SIZE",
@@ -110,9 +110,7 @@ class TrainPlan:
             raise ValidationError(f"unknown training stage {self.stage!r}; expected one of {STAGES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
-        if not (0 < self.learning_rate < math.inf and 0 <= self.weight_decay < math.inf):
-            raise ValidationError("learning_rate must be positive and weight_decay non-negative, "
-                                  "both finite")
+        check_rates(self.learning_rate, self.weight_decay)
 
 
 def _check_widths(**widths) -> None:
@@ -203,13 +201,9 @@ class Model:
         return tuple(name for b in self.branches if b.input == "global"
                      for name, _ in b.layers.params())
 
-    def zero_grad(self) -> None:
-        for _, t in self.parameters():
-            t.zero_grad()
-
     def release(self) -> None:
         """Drop the buffers the layers keep between calls: forward caches,
-        im2col workspaces and spare gradient arrays."""
+        im2col workspaces and gradient arrays."""
         for b in self.branches:
             b.layers.release()
         self.trunk.release()
@@ -495,15 +489,15 @@ def forward_batches(model, data: LoadedDataset, batches):
 def score_split(model, data: LoadedDataset, idx: np.ndarray,
                 batch_size: int) -> tuple[float, np.ndarray]:
     """Mean loss and confusion matrix (rows true class, columns predicted) of a
-    forward-only pass over ``idx`` in batches, adding the batch losses in order.
-    The caller releases the model's buffers."""
+    forward-only pass over a non-empty ``idx`` in batches, adding the batch
+    losses in order. The caller releases the model's buffers."""
     confusion = np.zeros((data.num_classes,) * 2, dtype=np.int64)
     total_loss = 0.0
     for logits, labels in forward_batches(model, data, ordered_batches(idx, batch_size)):
         loss, _ = softmax_cross_entropy(logits, labels)
         total_loss += loss * len(labels)
         np.add.at(confusion, (labels, np.argmax(logits, axis=1)), 1)
-    return total_loss / max(1, len(idx)), confusion
+    return total_loss / len(idx), confusion
 
 
 _STAGE_MODEL = {"semantic_only": "semantic", "step1_global": "global", "step2_fusion": "fusion"}
@@ -521,9 +515,10 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
         raise ValidationError(f"stage {plan.stage!r} cannot train a {kind!r} model")
     if kind in ("global", "fusion") and data.global_vecs is None:
         raise ValidationError("dataset has no global feature vectors")
+    for split, idx in (("train", data.train_idx), ("test", data.test_idx)):
+        if len(idx) == 0:
+            raise ValidationError(f"split {split!r} is empty")
     n_train = len(data.train_idx)
-    if n_train == 0:
-        raise ValidationError("split 'train' is empty")
 
     frozen = set(plan.frozen)
     all_names = [name for name, _ in model.parameters()]
@@ -554,12 +549,11 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                                           f"batch {batch}")
                 model.backward(grad, frozen)
                 opt.step()
-                model.zero_grad()
                 epoch_loss += loss * len(labels)
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
             trained = time.perf_counter()
             test_loss, confusion = score_split(model, data, data.test_idx, plan.batch_size)
-            test_acc = int(np.trace(confusion)) / max(1, len(data.test_idx))
+            test_acc = int(np.trace(confusion)) / len(data.test_idx)
             tested = time.perf_counter()
             if not np.isfinite(test_loss):
                 raise ArithmeticError(f"training diverged: test loss {test_loss} at epoch {epoch}")

@@ -78,9 +78,6 @@ class CorruptedGradients:
     def parameters(self):
         return self.model.parameters()
 
-    def zero_grad(self) -> None:
-        self.model.zero_grad()
-
 
 def grad_check(
     model,
@@ -115,7 +112,6 @@ def grad_check(
             raise ArithmeticError(f"non-finite loss {loss} during gradient check")
         return loss
 
-    model.zero_grad()
     loss, grad_logits = loss_fn(model.forward(ssf, global_vec), labels)
     if not np.isfinite(loss):
         raise ArithmeticError(f"non-finite loss {loss} during gradient check")

@@ -13,14 +13,18 @@ Every layer caches what its backward pass needs during forward (``Layer``
 holds that contract); calling backward without a cached forward is a
 usage error.
 
-The two largest arrays of a training step live from one step to the next
+Backward overwrites each parameter's gradient array (``Tensor.grad_array``)
+with the gradient of the batch it was given; nothing accumulates across
+calls.
+
+The largest arrays of a training step live from one step to the next
 instead of being allocated fresh each time: a conv layer writes its im2col
 matrix into a workspace it keeps (a prefix of it for a smaller batch; a
-larger batch replaces it), and ``Dense`` writes its weight gradient into
-the array its weight's ``zero_grad`` kept (``Tensor.grad_buffer``). Arrays
-this large come straight from the kernel, so a fresh one costs a page fault
-per 4 KiB page on first write. ``release`` drops these buffers and every
-forward cache; ``models.train`` calls it when it returns or raises, and
+larger batch replaces it), and every weight and bias gradient is written
+into its parameter's one gradient array. Arrays this large come straight
+from the kernel, so a fresh one costs a page fault per 4 KiB page on first
+write. ``release`` drops these buffers and every forward cache;
+``models.train`` calls it when it returns or raises, and
 ``models.predict``, ``evaluation.evaluate`` and ``measure_complexity`` when
 their forward passes are done.
 """
@@ -89,7 +93,7 @@ class Layer:
         return 0, self.out_shape(in_shape)
 
     def release(self) -> None:
-        """Drop the forward cache and the parameters' spare gradients."""
+        """Drop the forward cache and the parameters' gradient arrays."""
         self._cache = None
         for _, tensor in self.params():
             tensor.release()
@@ -172,9 +176,9 @@ class Conv2D(Layer):
         ho, wo = grad_out.shape[2], grad_out.shape[3]
         g = grad_out.transpose(0, 2, 3, 1).reshape(b * ho * wo, o)
 
-        self.bias.add_grad(g.sum(axis=0))
-        grad_w = (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
-        self.weight.add_grad(np.ascontiguousarray(grad_w).reshape(self.weight.shape))
+        np.sum(g, axis=0, out=self.bias.grad_array())
+        np.copyto(self.weight.grad_array().reshape(o, c, kh, kw),
+                  (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
 
         # Input gradient: one GEMM per kernel tap, scatter-added into a
         # channels-last padded buffer.
@@ -193,7 +197,7 @@ class Conv2D(Layer):
         return self._workspace[: rows * width].reshape(rows, width)
 
     def release(self) -> None:
-        """Drop the forward cache, the im2col workspace and spare gradients."""
+        """Drop the forward cache, the im2col workspace and gradient arrays."""
         super().release()
         self._workspace = None
 
@@ -261,8 +265,8 @@ class Dense(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._take_cache()
-        self.weight.add_grad(np.matmul(grad_out.T, x, out=self.weight.grad_buffer()))
-        self.bias.add_grad(grad_out.sum(axis=0))
+        np.matmul(grad_out.T, x, out=self.weight.grad_array())
+        np.sum(grad_out, axis=0, out=self.bias.grad_array())
         return grad_out @ self.weight.data
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

@@ -30,17 +30,23 @@ BLOCK = 32768
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
+def check_rates(learning_rate: float, weight_decay: float) -> None:
+    """Refuse a learning rate that is not positive and finite, a weight decay
+    that is not non-negative and finite, and a product of the two of 1 or more."""
+    if not 0 < learning_rate < math.inf:
+        raise ValidationError(f"learning rate must be positive and finite, got {learning_rate}")
+    if not 0 <= weight_decay < math.inf:
+        raise ValidationError(f"weight decay must be non-negative and finite, got {weight_decay}")
+    if learning_rate * weight_decay >= 1:
+        raise ValidationError(
+            f"learning rate x weight decay must be below 1, got {learning_rate} x "
+            f"{weight_decay}: the decay shrink factor would be zero or negative")
+
+
 class Adam:
     def __init__(self, params: list[tuple[str, Tensor]], learning_rate: float,
                  weight_decay: float = 0.0) -> None:
-        if not 0 < learning_rate < math.inf:
-            raise ValidationError(f"learning rate must be positive and finite, got {learning_rate}")
-        if not 0 <= weight_decay < math.inf:
-            raise ValidationError(f"weight decay must be non-negative and finite, got {weight_decay}")
-        if learning_rate * weight_decay >= 1:
-            raise ValidationError(
-                f"learning rate x weight decay must be below 1, got {learning_rate} x "
-                f"{weight_decay}: the decay shrink factor would be zero or negative")
+        check_rates(learning_rate, weight_decay)
         self.params = list(params)
         self.lr = learning_rate
         self.weight_decay = weight_decay
@@ -51,17 +57,19 @@ class Adam:
         self._scratch = (np.empty(min(BLOCK, largest)), np.empty(min(BLOCK, largest)))
 
     def step(self) -> None:
-        """Apply one update using each parameter's accumulated gradient."""
+        """Apply one update using each parameter's gradient; every parameter
+        must have one."""
+        for name, p in self.params:
+            if p.grad is None:
+                raise ValidationError(f"parameter {name!r} has no gradient to step on")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1**t
         bc2 = 1.0 - BETA2**t
         for (name, p), m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            self._update(_flat(name, p.data), None if g is None else _flat(name, g), m, v,
-                         bc1, bc2)
+            self._update(_flat(name, p.data), _flat(name, p.grad), m, v, bc1, bc2)
 
-    def _update(self, p: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray,
+    def _update(self, p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                 bc1: float, bc2: float) -> None:
         b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         shrink = 1.0 - lr * self.weight_decay
@@ -74,17 +82,12 @@ class Adam:
                 pb *= shrink
             mb *= b1
             vb *= b2
-            if g is None:
-                # what (1 - b) * 0 adds; it also turns a -0.0 moment into +0.0
-                mb += 0.0
-                vb += 0.0
-            else:
-                gb = g[lo:hi]
-                np.multiply(gb, 1.0 - b1, out=a)
-                mb += a
-                np.multiply(gb, gb, out=a)
-                a *= 1.0 - b2
-                vb += a
+            gb = g[lo:hi]
+            np.multiply(gb, 1.0 - b1, out=a)
+            mb += a
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - b2
+            vb += a
             np.divide(mb, bc1, out=a)
             a *= lr
             np.divide(vb, bc2, out=b)

@@ -315,8 +315,8 @@ class TestExitCodes:
         assert err == "error: model has 6 classes but the dataset has 2\n"
         assert not (tmp_path / "ev" / "report.json").exists()
 
-    @pytest.mark.parametrize("command,split", [("train", "train"), ("ablate", "train"),
-                                               ("ablate", "test")])
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("train", "test"),
+                                               ("ablate", "train"), ("ablate", "test")])
     def test_empty_split_is_one_line_data_error(self, synth_dir, tmp_path, capsys, command,
                                                 split):
         manifest = derived_manifest(synth_dir, tmp_path / "set", lambda e: e["split"] != split)
@@ -573,6 +573,18 @@ class TestAblateCommand:
         assert sorted(p.name for p in out.iterdir()) == ["run_record.json"]
 
 
+    def test_rates_refused_by_adam_are_one_error_line_and_no_grid(self, synth_dir, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "grid"
+        rc = main(["ablate", "--manifest", str(synth_dir / "dataset.manifest"), "--lr", "1e9",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: learning rate x weight decay must be below 1")
+        assert sorted(p.name for p in out.iterdir()) == ["run_record.json"]
+
 class TestGradcheckCommand:
     def test_small_nn_model_passes(self, capsys):
         rc = main(["gradcheck", "--model", "ssf-nn", "--L", "4", "--classes", "3",
@@ -645,6 +657,32 @@ class TestRunRecord:
         assert record["exit_code"] == 1 and record["error"] == err.rstrip("\n")
         assert record["command"] == "train" and record["config"]["lr"] == 1e9
         assert_environment(record)
+
+    def test_failed_train_leaves_no_output_of_an_earlier_run(self, synth_dir, tmp_path,
+                                                             capsys):
+        run = tmp_path / "run"
+        argv = ["train", "--manifest", str(synth_dir / "dataset.manifest"), "--head", "nn",
+                "--epochs", "1", "--out", str(run)]
+        assert main(argv) == 0
+        assert (run / "model.ssfc").exists() and (run / "metrics.jsonl").exists()
+        assert main([*argv, "--lr", "1e9"]) == 1
+        assert sorted(p.name for p in run.iterdir()) == ["run_record.json"]
+        assert json.loads((run / "run_record.json").read_text())["exit_code"] == 1
+
+    def test_step2_may_write_over_the_step1_checkpoint_it_builds_on(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--variant", "split-info",
+                     "--samples", "3"]) == 0
+        run = tmp_path / "run"
+        common = ["train", "--manifest", str(data / "dataset.manifest"), "--epochs", "1",
+                  "--out", str(run)]
+        assert main([*common, "--stage", "step1"]) == 0
+        step1 = load_checkpoint(run / "model.ssfc").block_hashes()
+        assert main([*common, "--stage", "step2", "--head", "nn",
+                     "--from-checkpoint", str(run / "model.ssfc")]) == 0
+        step2 = load_checkpoint(run / "model.ssfc")
+        assert step2.descriptor["model"] == "fusion"
+        assert step2.block_hashes()["global_fc1.weight"] == step1["global_fc1.weight"]
 
     @pytest.mark.parametrize("command", ["train", "extract"])
     def test_out_naming_a_file_is_one_line_error_and_writes_nothing(self, synth_dir, tmp_path,

@@ -86,10 +86,6 @@ class TestGradCheckPasses:
             def parameters(self):
                 return self.net.params()
 
-            def zero_grad(self):
-                for _, tensor in self.net.params():
-                    tensor.zero_grad()
-
         def quadratic(logits, labels):
             return float(np.mean(logits**2)), 2.0 * logits / logits.size
 

@@ -25,7 +25,8 @@ from ssfx.models import (
     score_split,
     train,
 )
-from ssfx.nn import Adam, Checkpoint, CheckpointError, Sequential, save_checkpoint, softmax
+from ssfx.nn import (Adam, Checkpoint, CheckpointError, Sequential, Tensor, save_checkpoint,
+                     softmax)
 
 
 def toy_dataset(n_per_class=20, L=4, classes=2, global_width=None, seed=0):
@@ -507,6 +508,26 @@ class TestTrainingLoop:
         with pytest.raises(ValidationError, match="split 'train' is empty"):
             train(self.plan(), data, model)
 
+    def test_empty_test_split_is_refused_before_any_step(self):
+        data = toy_dataset()
+        data.test_idx = data.test_idx[:0]
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        before = model.state_arrays()
+        with pytest.raises(ValidationError, match="split 'test' is empty"):
+            train(self.plan(), data, model)
+        for name, t in model.parameters():
+            np.testing.assert_array_equal(t.data, before[name])
+
+    @pytest.mark.parametrize("lr,wd", [(0.0, 0.0), (np.nan, 0.0), (0.1, -1.0), (0.1, np.inf),
+                                       (1e9, 5e-4), (2.0, 0.5)])
+    def test_plan_refuses_rates_as_adam_does(self, lr, wd):
+        with pytest.raises(ValidationError) as by_plan:
+            self.plan(learning_rate=lr, weight_decay=wd)
+        with pytest.raises(ValidationError) as by_adam:
+            Adam([("p", Tensor(np.zeros(1)))], learning_rate=lr, weight_decay=wd)
+        assert str(by_plan.value) == str(by_adam.value)
+
     def test_test_line_is_the_score_of_the_trained_model(self):
         data = toy_dataset(classes=3)
         model = build_semantic_classifier("nn", FeatureSubset(), 4, 3,
@@ -736,7 +757,6 @@ class TestStepBuffers:
             ssf = rng.uniform(-1, 1, size=(batch, 4, 5))
             g = rng.standard_normal((batch, 4)) if head == "step2" else None
             model.backward(model.forward(ssf, g))
-            model.zero_grad()
         model.forward(rng.uniform(size=(3, 4, 5)), rng.standard_normal((3, 4)))
         model.load_arrays(init)
         dirty_ckpt, _ = train(plan, data, model)
@@ -751,24 +771,24 @@ class TestStepBuffers:
         model = build_semantic_classifier("cnn", FeatureSubset(), 8, 2, np.random.default_rng(0))
         return model, toy_dataset(n_per_class=24, L=8)
 
-    def test_a_train_step_allocates_no_large_array(self):
+    def test_a_train_step_allocates_no_large_array(self, monkeypatch):
         model, data = self.cnn_l8()
         fc_grad_bytes = dict(model.parameters())["head.fc.weight"].data.nbytes
         peaks = []
         base = None
-        real_zero_grad = model.zero_grad
+        real_step = Adam.step
 
-        def measuring_zero_grad():
-            # The peak since the previous step's zero_grad: one whole step.
+        def measuring_step(opt):
+            # The peak since the previous step's update: one whole step.
             nonlocal base
-            real_zero_grad()
+            real_step(opt)
             current, peak = tracemalloc.get_traced_memory()
             if base is not None:
                 peaks.append(peak - base)
             tracemalloc.reset_peak()
             base = current
 
-        model.zero_grad = measuring_zero_grad
+        monkeypatch.setattr(Adam, "step", measuring_step)
         tracemalloc.start()
         try:
             train(self.plan(epochs=1), data, model)
@@ -797,12 +817,12 @@ class TestStepBuffers:
         assert kept < 2**20, kept
         assert kept_after_failure < 2**20, kept_after_failure
         for name, t in model.parameters():
-            assert t.grad is None and t.grad_buffer() is None, name
+            assert t.grad is None, name
 
 
 def held_buffers(model):
     """What the model still holds for a backward pass: each layer's forward
-    cache and conv workspace, and each parameter's gradient or spare."""
+    cache and conv workspace, and each parameter's gradient array."""
     def leaves(seq, prefix):
         for name, layer in seq.layers:
             if isinstance(layer, Sequential):
@@ -818,7 +838,7 @@ def held_buffers(model):
             if getattr(layer, "_workspace", None) is not None:
                 held.append(f"{name} workspace")
     return held + [f"{name} gradient" for name, t in model.parameters()
-                   if t.grad is not None or t.grad_buffer() is not None]
+                   if t.grad is not None]
 
 
 class TestForwardOnlyCallsKeepNothing:
@@ -843,9 +863,8 @@ class TestForwardOnlyCallsKeepNothing:
         data = toy_dataset(global_width=4 if head == "fusion" else None)
         model = self.make(head)
         g = data.global_vecs
-        # Leave spare gradients, then forward caches and conv workspaces.
+        # Leave gradient arrays, then forward caches and conv workspaces.
         model.backward(model.forward(data.ssf[:5], None if g is None else g[:5]))
-        model.zero_grad()
         model.forward(data.ssf[:3], None if g is None else g[:3])
         assert any("cache" in h for h in held_buffers(model))
         assert any("gradient" in h for h in held_buffers(model))

@@ -165,16 +165,12 @@ def check_layer_gradients(layer, x, rng):
     assert max_rel_err(grad_in, numeric_in) < 1e-4
 
     for name, _ in layer.params():
-        for _, t in layer.params():
-            t.zero_grad()
         layer.forward(x.copy())
         layer.backward(probe)
         tensor = dict(layer.params())[name]
         analytic = tensor.grad.copy()
         numeric = numeric_grad(lambda: scalar_objective(layer, x.copy(), probe), tensor.data)
         assert max_rel_err(analytic, numeric) < 1e-4
-    for _, t in layer.params():
-        t.zero_grad()
 
 
 @pytest.mark.parametrize("case", [random_conv2d_case, random_conv1d_case,
@@ -214,84 +210,36 @@ def test_conv_matches_loop_oracle_on_random_shapes(case, seed):
         np.testing.assert_allclose(layer.bias.grad, want_b, rtol=1e-12, atol=1e-12)
 
 
-def test_gradients_accumulate_across_backward_calls():
-    rng = np.random.default_rng(0)
-    d = Dense(3, 2, rng=rng)
-    x = rng.standard_normal((2, 3))
-    probe = np.ones((2, 2))
-    d.forward(x)
-    d.backward(probe)
-    once = d.weight.grad.copy()
-    d.forward(x)
-    d.backward(probe)
-    np.testing.assert_allclose(d.weight.grad, 2 * once)
-
-
 @pytest.mark.parametrize("make", [lambda rng: Dense(6, 5, rng=rng),
                                   lambda rng: Conv2D(2, 3, rng=rng),
                                   lambda rng: Conv1D(2, 3, rng=rng)],
                          ids=["dense", "conv2d", "conv1d"])
 def test_reused_buffers_carry_no_stale_state(make):
-    """Gradients and conv columns written into reused arrays match a fresh layer's."""
+    """After a backward, one more overwrites the gradient arrays in place with
+    exactly a fresh layer's gradient for its own input: for the same batch
+    size, a smaller one that uses part of the conv workspace and a larger one
+    that outgrows it."""
     rng = np.random.default_rng(7)
-    layer = make(rng)
     in_shape = {"fully_connected": (4, 6), "conv2d": (4, 2, 5, 4), "conv1d": (4, 2, 6)}
-    xs = [rng.standard_normal(in_shape[layer.spec.kind]) for _ in range(3)]
-    probes = [rng.standard_normal(layer.out_shape(x.shape)) for x in xs]
-
-    def grads(x, probe):
+    x0 = rng.standard_normal(in_shape[make(None).spec.kind])
+    for x in (rng.standard_normal(x0.shape), rng.standard_normal(x0.shape)[:2],
+              rng.standard_normal((7, *x0.shape[1:]))):
+        layer = make(np.random.default_rng(7))
+        probe0 = rng.standard_normal(layer.out_shape(x0.shape))
+        probe = rng.standard_normal(layer.out_shape(x.shape))
+        layer.forward(x0)
+        layer.backward(probe0)
+        arrays = [t.grad for _, t in layer.params()]
+        layer.forward(x)
+        layer.backward(probe)
         fresh = make(np.random.default_rng(7))
         fresh.forward(x)
         fresh.backward(probe)
-        return [t.grad for _, t in fresh.params()]
-
-    # A step, then zero_grad: the layer now holds its reusable arrays.
-    layer.forward(xs[2])
-    layer.backward(probes[2])
-    for _, t in layer.params():
-        t.zero_grad()
-    # Two backwards without zero_grad accumulate: g(x0) + g(x1), and twice
-    # the gradient when the inputs repeat.
-    for x, probe in zip(xs[:2], probes[:2]):
-        layer.forward(x)
-        layer.backward(probe)
-    want = [a + b for a, b in zip(grads(xs[0], probes[0]), grads(xs[1], probes[1]))]
-    for (_, t), w in zip(layer.params(), want):
-        np.testing.assert_allclose(t.grad, w, rtol=1e-12, atol=1e-12)
-    for _, t in layer.params():
-        t.zero_grad()
-    for _ in range(2):
-        layer.forward(xs[0])
-        layer.backward(probes[0])
-    for (_, t), w in zip(layer.params(), grads(xs[0], probes[0])):
-        np.testing.assert_allclose(t.grad, 2 * w, rtol=1e-12, atol=1e-12)
-    # After zero_grad one backward gives the gradient once, also for a
-    # smaller batch that uses part of the conv workspace and a larger one
-    # that outgrows it.
-    for x, probe in ((xs[0], probes[0]), (xs[1][:2], probes[1][:2]),
-                     (np.concatenate(xs[:2]), np.concatenate(probes[:2]))):
-        for _, t in layer.params():
-            t.zero_grad()
-        layer.forward(x)
-        layer.backward(probe)
-        for (_, t), w in zip(layer.params(), grads(x, probe)):
-            np.testing.assert_array_equal(t.grad, w)
-
-
-def test_dense_writes_its_weight_gradient_into_the_cleared_array():
-    rng = np.random.default_rng(0)
-    d = Dense(4, 3, rng=rng)
-    x = rng.standard_normal((2, 4))
-    d.forward(x)
-    d.backward(np.ones((2, 3)))
-    first = d.weight.grad
-    d.weight.zero_grad()
-    assert d.weight.grad_buffer() is first
-    d.forward(x)
-    d.backward(np.ones((2, 3)))
-    assert d.weight.grad is first
-    d.release()
-    assert d.weight.grad is None and d.weight.grad_buffer() is None
+        for (_, t), (_, want), array in zip(layer.params(), fresh.params(), arrays):
+            assert t.grad is array
+            np.testing.assert_array_equal(t.grad, want.grad)
+        layer.release()
+        assert all(t.grad is None for _, t in layer.params())
 
 
 class TestLayerSpec:

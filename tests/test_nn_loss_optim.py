@@ -64,7 +64,7 @@ class TestAdam:
     def test_first_step_moves_against_gradient_sign(self):
         p = Tensor(np.array([1.0, -2.0]))
         opt = Adam([("p", p)], learning_rate=0.01)
-        p.add_grad(np.array([0.5, -0.25]))
+        p.grad = np.array([0.5, -0.25])
         opt.step()
         # with fresh moments the update direction is -lr * sign(g), up to eps
         np.testing.assert_allclose(p.data, [1.0 - 0.01, -2.0 + 0.01], rtol=1e-6)
@@ -74,8 +74,7 @@ class TestAdam:
         opt = Adam([("p", p)], learning_rate=0.1)
         seen = [abs(p.data[0])]
         for _ in range(3):
-            p.zero_grad()
-            p.add_grad(2.0 * p.data)  # d/dx x^2
+            p.grad = 2.0 * p.data  # d/dx x^2
             opt.step()
             seen.append(abs(p.data[0]))
         assert all(b < a for a, b in zip(seen, seen[1:]))
@@ -83,12 +82,14 @@ class TestAdam:
     def test_zero_grad_zero_decay_leaves_params_unchanged(self):
         p = Tensor(np.array([3.0, -1.0]))
         opt = Adam([("p", p)], learning_rate=0.1, weight_decay=0.0)
+        p.grad = np.zeros(2)
         opt.step()
         np.testing.assert_array_equal(p.data, [3.0, -1.0])
 
     def test_decay_shrinks_before_update(self):
         p = Tensor(np.array([10.0]))
         opt = Adam([("p", p)], learning_rate=0.1, weight_decay=0.5)
+        p.grad = np.zeros(1)
         opt.step()  # gradient is zero, so only the shrink applies
         np.testing.assert_allclose(p.data, [10.0 * (1 - 0.1 * 0.5)])
 
@@ -110,8 +111,7 @@ class TestAdam:
         opt = Adam([("p", p)], learning_rate=lr, weight_decay=wd)
         got = []
         for t in range(1, 6):
-            p.zero_grad()
-            p.add_grad(np.array([math.sin(t) + 2 * p.data[0]]))
+            p.grad = np.array([math.sin(t) + 2 * p.data[0]])
             opt.step()
             got.append(p.data[0])
         np.testing.assert_allclose(got, trajectory, rtol=1e-12)
@@ -122,8 +122,7 @@ class TestAdam:
             p = Tensor(rng.standard_normal(8))
             opt = Adam([("p", p)], learning_rate=0.01, weight_decay=5e-4)
             for _ in range(25):
-                p.zero_grad()
-                p.add_grad(rng.standard_normal(8))
+                p.grad = rng.standard_normal(8)
                 opt.step()
             return p.data.tobytes()
 
@@ -175,18 +174,25 @@ class TestAdam:
         for t in range(1, 6):
             g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
             if t == 3:
-                g = np.zeros(shape)  # a step without a gradient
-            else:
-                p.add_grad(g.copy())
+                g = np.zeros(shape)
+            p.grad = g.copy()
             opt.step()
-            p.zero_grad()
             self.reference_step(ref_p, g, ref_m, ref_v, t, lr, wd)
             assert p.data.tobytes() == ref_p.tobytes(), f"step {t}"
+
+    def test_step_without_a_gradient_is_refused_before_any_update(self):
+        p, q = Tensor(np.ones(3)), Tensor(np.ones(2))
+        opt = Adam([("p", p), ("q", q)], learning_rate=0.01)
+        p.grad = np.ones(3)
+        with pytest.raises(ValidationError, match="parameter 'q' has no gradient"):
+            opt.step()
+        np.testing.assert_array_equal(p.data, np.ones(3))
+        assert opt.step_count == 0
 
     def test_step_allocates_nothing_in_proportion_to_the_parameter(self):
         p = Tensor(np.random.default_rng(0).standard_normal(2**22))
         opt = Adam([("p", p)], learning_rate=1e-3, weight_decay=5e-4)
-        p.add_grad(np.ones(2**22))
+        p.grad = np.ones(2**22)
         tracemalloc.start()
         try:
             opt.step()
@@ -204,8 +210,8 @@ class TestAdam:
         tensor = dict(model.parameters())["head.fc1.weight"]
         before = tensor.data.copy()
         storage = tensor.data
-        opt = Adam(model.parameters(), learning_rate=0.01)
-        tensor.add_grad(np.ones(tensor.shape))
+        opt = Adam([("head.fc1.weight", tensor)], learning_rate=0.01)
+        tensor.grad = np.ones(tensor.shape)
         opt.step()
         assert tensor.data is storage
         assert not np.array_equal(tensor.data, before)
@@ -214,6 +220,7 @@ class TestAdam:
         p = Tensor(np.zeros((3, 4)))
         opt = Adam([("p", p)], learning_rate=0.01)
         p.data = np.asfortranarray(np.ones((3, 4)))
+        p.grad = np.zeros((3, 4))
         with pytest.raises(ValidationError, match="C-contiguous"):
             opt.step()
 
@@ -223,26 +230,11 @@ class TestTensor:
         with pytest.raises(ValidationError, match="4 dimensions"):
             Tensor(np.zeros((1, 1, 1, 1, 1)))
 
-    def test_grad_is_lazy_and_accumulates(self):
-        t = Tensor(np.zeros(3))
-        assert t.grad is None
-        t.add_grad(np.ones(3))
-        t.add_grad(np.ones(3))
-        np.testing.assert_array_equal(t.grad, [2, 2, 2])
-        t.zero_grad()
-        assert t.grad is None
-
-    def test_first_gradient_is_taken_without_copy(self):
+    def test_grad_array_is_allocated_once_and_released(self):
         t = Tensor(np.zeros((2, 3)))
-        g = np.ones((2, 3))
-        t.add_grad(g)
-        assert t.grad is g
-        t.zero_grad()
-        strided = np.ones((3, 2)).T
-        t.add_grad(strided)
-        assert t.grad is not strided and t.grad.flags.c_contiguous
-
-    def test_grad_shape_checked(self):
-        t = Tensor(np.zeros(3))
-        with pytest.raises(ValidationError, match="does not match"):
-            t.add_grad(np.ones(4))
+        assert t.grad is None
+        g = t.grad_array()
+        assert g.shape == (2, 3) and g.dtype == np.float64 and g.flags.c_contiguous
+        assert t.grad is g and t.grad_array() is g
+        t.release()
+        assert t.grad is None
