@@ -3,15 +3,15 @@
 One executable, one subcommand per run: extract, synth, train, eval,
 ablate, gradcheck, bench. Flags are the only configuration.
 
-Exit codes: 0 success, 1 data or runtime error, 2 usage error. ``main``
-owns the output directory: it refuses an ``--out`` that exists and is not
-a directory (one ``error:`` line, exit 1, nothing run), creates it, and,
-after the command has returned or failed with exit 1, writes a
-``run_record.json`` reproducibility record into it. The record holds the
-command, its resolved configuration, the package version, the numpy build,
-CPUs and thread variables it ran with, its ``exit_code``, and ``error``:
-the ``error:`` line printed for a failure, or null. A usage error writes
-no record.
+Exit codes: 0 success, 1 data or runtime error, 2 usage error, 130
+interrupted. ``main`` owns the output directory: it refuses an ``--out``
+that exists and is not a directory (one ``error:`` line, exit 1, nothing
+run), creates it, and, after the command has returned, failed with exit 1
+or been interrupted, writes a ``run_record.json`` reproducibility record
+into it; an interrupt is then raised again. The record holds the command,
+its resolved configuration, the package version, the numpy build, CPUs and
+thread variables it ran with, its ``exit_code``, and ``error``: the
+``error:`` line of a failure or an interrupt, or null. A usage error writes no record.
 """
 from __future__ import annotations
 
@@ -403,6 +403,10 @@ def main(argv: list[str] | None = None) -> int:
         error = f"error: {exc}"
     except MemoryError as exc:
         error = f"error: out of memory: {str(exc) or 'an allocation failed'}"
+    except KeyboardInterrupt:
+        if out is not None:
+            _record(args, 130, "error: interrupted")
+        raise
     if error is not None:
         print(error, file=sys.stderr)
         exit_code = 1

@@ -8,16 +8,16 @@ default widths.
 
 Every model is one graph: an ordered list of named branches, each reading
 one input (``ssf``, the feature matrix, or ``global``, an ingested feature
-vector) through its own layers; a concatenation of the branch outputs,
-global-first; and a trunk of FC layers producing logits. A semantic model
-is the ``head`` branch under a ``classifier`` trunk; a global model is the
-``global_fc1`` branch under a ``classifier`` trunk; the fusion model is both
-branches under an ``fc3``/ReLU/``fc4`` trunk.
+vector) through one flat ``Sequential`` of its own; a concatenation of the
+branch outputs, global-first; and a trunk of FC layers producing logits.
+A semantic model is the ``head`` branch under a ``classifier`` trunk; a
+global model is the ``global_fc1`` branch under a ``classifier`` trunk; the
+fusion model is both branches under an ``fc3``/ReLU/``fc4`` trunk.
 
 Training runs in two steps: step 1 fits the global model on the global
 vectors alone; step 2 loads those weights into the fusion model's global
 branch, freezes them, and trains the semantic head plus the fusion FC
-layers. Backward skips a branch whose parameters are all frozen.
+layers. Backward skips wholly frozen branches and gives the inputs no gradient.
 """
 from __future__ import annotations
 
@@ -136,7 +136,7 @@ class SsfInput(Layer):
     """First layer of an ``ssf`` branch: picks a subset's columns of a
     (B, L, 5) feature batch and lays them out as its head reads them.
 
-    The feature batch is model input, so backward passes no gradient on.
+    The feature batch is data, so no backward call reaches this layer.
     """
 
     def __init__(self, num_categories: int, subset: FeatureSubset, head_kind: str) -> None:
@@ -154,9 +154,6 @@ class SsfInput(Layer):
         if self.head_kind == "pc1d":
             return x.transpose(0, 2, 1)
         return x
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        return None
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return self.forward(np.zeros(in_shape)).shape
@@ -218,7 +215,7 @@ class Model:
 
     def _match(self, params: dict[str, np.ndarray]) -> list[tuple[Tensor, np.ndarray]]:
         """Pair each parameter with its array in ``params``; the names and
-        shapes must match the architecture exactly."""
+        shapes must match the architecture exactly, and every value be finite."""
         own = dict(self.parameters())
         if set(params) != set(own):
             missing = sorted(set(own) - set(params))
@@ -229,6 +226,8 @@ class Model:
             if arr.shape != own[name].data.shape:
                 raise CheckpointError(f"parameter {name!r} has shape {arr.shape}, "
                                       f"expected {own[name].data.shape}")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"parameter {name!r} is not finite")
         return [(own[name], arr) for name, arr in params.items()]
 
     def forward(self, ssf: np.ndarray | None, global_vec: np.ndarray | None = None) -> np.ndarray:
@@ -241,13 +240,21 @@ class Model:
         return self.trunk.forward(outs[0] if len(outs) == 1 else fuse_concat(*outs))
 
     def backward(self, grad_logits: np.ndarray, frozen: set[str] | tuple[str, ...] = ()) -> None:
-        """Backpropagate, skipping each branch whose parameter names are all in ``frozen``."""
-        grad = self.trunk.backward(grad_logits)
+        """Backpropagate through the trunk, then through each branch not wholly in ``frozen``
+        down to its first parameterised layer, which computes no gradient for the data."""
+        grad = grad_logits
+        for _, layer in reversed(self.trunk.layers):
+            grad = layer.backward(grad)
         start = 0
         for b, width in zip(self.branches, self._widths):
-            if not all(name in frozen for name, _ in b.layers.params()):
-                b.layers.backward(grad[:, start : start + width])
-            start += width
+            g, start = grad[:, start : start + width], start + width
+            if all(name in frozen for name, _ in b.layers.params()):
+                continue
+            layers = [layer for _, layer in b.layers.layers]
+            first = next(i for i, layer in enumerate(layers) if layer.params())
+            for layer in reversed(layers[first + 1 :]):
+                g = layer.backward(g)
+            layers[first].backward(g, input_grad=False)
 
     def descriptor(self) -> dict:
         d = {"model": self.kind, **self._desc}
@@ -287,7 +294,7 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
     k = subset.num_columns
     if head_kind == "cnn":
         c1, c2, c3 = CNN_CHANNELS
-        head = Sequential([
+        head = [
             ("conv1", Conv2D(1, c1, rng=rng)),
             ("relu1", ReLU()),
             ("conv2", Conv2D(c1, c2, rng=rng)),
@@ -297,7 +304,7 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
             ("flatten", Flatten()),
             ("fc", Dense(c3 * num_categories * k, head_width, rng=rng)),
             ("relu4", ReLU()),
-        ])
+        ]
         width, options = head_width, {"head_width": head_width}
     elif head_kind == "nn":
         layers: list[tuple[str, object]] = [("flatten", Flatten())]
@@ -305,12 +312,12 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
         for i, h in enumerate(hidden, start=1):
             layers += [(f"fc{i}", Dense(width, h, rng=rng)), (f"relu{i}", ReLU())]
             width = h
-        head, options = Sequential(layers), {"hidden": list(hidden)}
+        head, options = layers, {"hidden": list(hidden)}
     else:
         if subset.spec_string() != "pc":
             raise ValidationError("the 1-D conv head consumes the count column only; use subset 'pc'")
         c1, c2 = pc_channels
-        head = Sequential([
+        head = [
             ("conv1", Conv1D(1, c1, rng=rng)),
             ("relu1", ReLU()),
             ("conv2", Conv1D(c1, c2, rng=rng)),
@@ -318,9 +325,10 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
             ("flatten", Flatten()),
             ("fc", Dense(c2 * num_categories, head_width, rng=rng)),
             ("relu3", ReLU()),
-        ])
+        ]
         width, options = head_width, {"pc_channels": [c1, c2], "head_width": head_width}
-    layers = Sequential([("input", SsfInput(num_categories, subset, head_kind)), ("head", head)])
+    layers = Sequential([("input", SsfInput(num_categories, subset, head_kind)),
+                         *((f"head.{name}", layer) for name, layer in head)])
     desc = {"head": head_kind, "subset": subset.spec_string(),
             "num_categories": num_categories, **options}
     return Branch("head", "ssf", layers, desc), width

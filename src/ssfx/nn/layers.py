@@ -11,11 +11,12 @@ matrix and the input gradient as one GEMM per kernel tap, scatter-added
 into a padded buffer. ``Conv1D`` is a height-1 ``Conv2D``.
 Every layer caches what its backward pass needs during forward (``Layer``
 holds that contract); calling backward without a cached forward is a
-usage error.
+usage error. With ``input_grad=False``, ``Dense`` and the convs return
+None and skip the input gradient: a model's inputs are data and need none.
 
 Backward overwrites each parameter's gradient array (``Tensor.grad_array``)
-with the gradient of the batch it was given; nothing accumulates across
-calls.
+with the gradient of the batch it was given; nothing accumulates across calls.
+``Sequential`` has no backward: ``models.Model.backward`` walks its layers.
 
 The largest arrays of a training step live from one step to the next
 instead of being allocated fresh each time: a conv layer writes its im2col
@@ -167,7 +168,7 @@ class Conv2D(Layer):
         self._cache = (x.shape, cols)
         return out.reshape(b, ho, wo, o).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x_shape, cols = self._take_cache()
         kh, kw, ph, pw = self._geometry()
         w4 = self.weight.data.reshape(self.spec.out_channels, self.spec.in_channels, kh, kw)
@@ -179,6 +180,8 @@ class Conv2D(Layer):
         np.sum(g, axis=0, out=self.bias.grad_array())
         np.copyto(self.weight.grad_array().reshape(o, c, kh, kw),
                   (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+        if not input_grad:
+            return None
 
         # Input gradient: one GEMM per kernel tap, scatter-added into a
         # channels-last padded buffer.
@@ -225,8 +228,9 @@ class Conv1D(Conv2D):
         self.out_shape(x.shape)
         return self._forward(x[:, :, None, :])[:, :, 0, :]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return super().backward(grad_out[:, :, None, :])[:, :, 0, :]
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        grad_in = super().backward(grad_out[:, :, None, :], input_grad)
+        return None if grad_in is None else grad_in[:, :, 0, :]
 
 
 class Dense(Layer):
@@ -263,11 +267,11 @@ class Dense(Layer):
         self._cache = x
         return x @ self.weight.data.T + self.bias.data
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x = self._take_cache()
         np.matmul(grad_out.T, x, out=self.weight.grad_array())
         np.sum(grad_out, axis=0, out=self.bias.grad_array())
-        return grad_out @ self.weight.data
+        return grad_out @ self.weight.data if input_grad else None
 
     def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         out_shape = self.out_shape(in_shape)
@@ -322,11 +326,6 @@ class Sequential:
         for _, layer in self.layers:
             x = layer.forward(x)
         return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for _, layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
 
     def params(self) -> list[tuple[str, Tensor]]:
         out = []

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ssfx
+import ssfx.cli as cli_module
 import ssfx.data as data_module
 from ssfx.cli import main
 from ssfx.io import read_feature_matrix, write_pgm
@@ -193,6 +194,30 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'global_width'" in err
+
+    @pytest.mark.parametrize("command", ["eval", "step2"])
+    def test_non_finite_checkpoint_is_one_line_data_error(self, tmp_path, capsys, command):
+        # ReLU maps NaN to 0, so NaN weights can still give finite logits;
+        # the check is on the parameters as they are loaded.
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--variant", "split-info",
+                     "--samples", "6"]) == 0
+        manifest = str(data / "dataset.manifest")
+        assert main(["train", "--manifest", manifest, "--stage", "step1", "--epochs", "1",
+                     "--out", str(tmp_path / "step1")]) == 0
+        ckpt = load_checkpoint(tmp_path / "step1" / "model.ssfc")
+        ckpt.params["global_fc1.weight"][0, 0] = np.nan
+        save_checkpoint(ckpt, tmp_path / "nan.ssfc")
+        capsys.readouterr()
+        if command == "eval":
+            argv = ["eval", "--manifest", manifest, "--checkpoint", str(tmp_path / "nan.ssfc")]
+        else:
+            argv = ["train", "--manifest", manifest, "--stage", "step2", "--head", "nn",
+                    "--from-checkpoint", str(tmp_path / "nan.ssfc"), "--epochs", "1",
+                    "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: parameter 'global_fc1.weight' is not finite\n"
 
     @pytest.mark.parametrize("options,key", [
         ({"num_categories": 0}, "num_categories"),
@@ -668,6 +693,21 @@ class TestRunRecord:
         assert main([*argv, "--lr", "1e9"]) == 1
         assert sorted(p.name for p in run.iterdir()) == ["run_record.json"]
         assert json.loads((run / "run_record.json").read_text())["exit_code"] == 1
+
+    def test_interrupted_run_records_exit_130_and_raises_again(self, synth_dir, tmp_path,
+                                                               monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli_module, "train", interrupt)
+        run = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--manifest", str(synth_dir / "dataset.manifest"), "--head", "nn",
+                  "--epochs", "1", "--out", str(run)])
+        assert sorted(p.name for p in run.iterdir()) == ["run_record.json"]
+        record = json.loads((run / "run_record.json").read_text())
+        assert record["exit_code"] == 130 and record["error"] == "error: interrupted"
+        assert record["command"] == "train"
+        assert_environment(record)
 
     def test_step2_may_write_over_the_step1_checkpoint_it_builds_on(self, tmp_path):
         data = tmp_path / "data"

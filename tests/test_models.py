@@ -13,6 +13,7 @@ from ssfx.models import (
     BATCH_SIZE,
     CNN_CHANNELS,
     FusionConfig,
+    SsfInput,
     TrainPlan,
     build_from_descriptor,
     build_fusion_classifier,
@@ -559,6 +560,43 @@ class TestScoreSplit:
         assert confusion.sum() == len(idx)
 
 
+class TestBackwardWalk:
+    @pytest.mark.parametrize("head,first,skipped", [
+        ("nn", {"head.fc1"}, {"input", "head.flatten"}),
+        ("cnn", {"head.conv1"}, {"input"}),
+        ("pc1d", {"head.conv1"}, {"input"}),
+        ("fusion", {"global_fc1", "head.fc1"}, {"input", "head.flatten"}),
+    ], ids=["nn", "cnn", "pc1d", "fusion"])
+    def test_backward_gives_the_data_no_gradient(self, head, first, skipped):
+        """Backward walks each flat branch down to its first parameterised
+        layer, which is asked for no input gradient; the layers before it
+        get no call. Every trunk layer passes its input gradient on."""
+        assert not hasattr(Sequential, "backward") and not hasattr(SsfInput, "backward")
+        if head == "fusion":
+            cfg = FusionConfig(4, 2, global_width=8, semantic_width=12, fc3_width=8)
+            model = build_fusion_classifier(cfg, "nn", FeatureSubset(), 4,
+                                            np.random.default_rng(2), hidden=(8, 12))
+        else:
+            model = TestForwardOnlyCallsKeepNothing.make(head)
+        branch = dict(item for b in model.branches for item in b.layers.layers)
+        calls = {}
+        for _, layer in [*branch.items(), *model.trunk.layers]:
+            assert not isinstance(layer, Sequential)
+            if hasattr(layer, "backward"):
+                def spy(grad, real=layer.backward, key=id(layer), **kwargs):
+                    calls.setdefault(key, []).append(kwargs.get("input_grad", True))
+                    return real(grad, **kwargs)
+                layer.backward = spy
+        data = toy_dataset(global_width=4 if head == "fusion" else None)
+        g = None if data.global_vecs is None else data.global_vecs[:5]
+        model.backward(model.forward(data.ssf[:5], g))
+        assert first | skipped <= set(branch)
+        want = {id(layer): [True] for _, layer in model.trunk.layers}
+        want.update({id(layer): [name not in first] for name, layer in branch.items()
+                     if name not in skipped})
+        assert calls == want
+
+
 class TestTwoStepProtocol:
     def test_step2_loads_and_freezes_step1_weights(self):
         data = toy_dataset(global_width=4)
@@ -823,16 +861,9 @@ class TestStepBuffers:
 def held_buffers(model):
     """What the model still holds for a backward pass: each layer's forward
     cache and conv workspace, and each parameter's gradient array."""
-    def leaves(seq, prefix):
-        for name, layer in seq.layers:
-            if isinstance(layer, Sequential):
-                yield from leaves(layer, f"{prefix}{name}.")
-            else:
-                yield f"{prefix}{name}", layer
-
     held = []
     for seq in [b.layers for b in model.branches] + [model.trunk]:
-        for name, layer in leaves(seq, ""):
+        for name, layer in seq.layers:
             if layer._cache is not None:
                 held.append(f"{name} cache")
             if getattr(layer, "_workspace", None) is not None:
