@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _naming(path: Path):
+    """Start a ``CheckpointError`` raised inside with ``path``, as ``load_checkpoint``'s do."""
+    try:
+        yield
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     stage = _STAGE_NAMES[args.stage]
     # Read the step-1 base before clearing --out, which may hold it.
@@ -259,12 +269,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         if data.global_vecs is None:
             raise ValidationError("manifest has no global feature vectors; step 2 needs them")
-        base_width = check_descriptor(base.descriptor).get("global_width",
-                                                             FusionConfig.global_width)
-        cfg = FusionConfig(global_input_width=data.global_vecs.shape[1],
-                           num_classes=data.num_classes, global_width=base_width)
-        model = build_fusion_classifier(cfg, args.head, args.subset, data.num_categories,
-                                        rng, base=base)
+        with _naming(args.from_checkpoint):
+            base_width = check_descriptor(base.descriptor).get("global_width",
+                                                                 FusionConfig.global_width)
+            cfg = FusionConfig(global_input_width=data.global_vecs.shape[1],
+                               num_classes=data.num_classes, global_width=base_width)
+            model = build_fusion_classifier(cfg, args.head, args.subset, data.num_categories,
+                                            rng, base=base)
         frozen = model.global_param_names()
 
     plan = TrainPlan(stage=stage, epochs=args.epochs, batch_size=args.batch,
@@ -285,7 +296,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    model = load_model(ckpt)
+    with _naming(args.checkpoint):
+        model = load_model(ckpt)
     manifest = load_manifest(args.manifest)
     data = load_dataset(manifest)
     report = evaluate(model, data, args.split)

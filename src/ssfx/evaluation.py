@@ -178,9 +178,9 @@ def measure_complexity(model: Model, iterations: int = 1000,
                        warmup: int = 100) -> ComplexityReport:
     """Analytic FLOPs/params plus measured forward throughput at batch size 1.
 
-    FLOPs follow the multiply-accumulate convention (one MAC = 2 FLOPs,
-    biases and activations not counted). Throughput excludes everything but
-    the forward pass, and the model's buffers are released after it.
+    FLOPs are ``Model.flop_count``'s, whose docstring states the rule.
+    Throughput excludes everything but the forward pass, and the model's
+    buffers are released after it.
     """
     if iterations < 1000:
         raise ValidationError(f"throughput needs >= 1000 measured iterations, got {iterations}")

@@ -8,8 +8,9 @@ default widths.
 
 Every model is one graph: an ordered list of named branches, each reading
 one input (``ssf``, the feature matrix, or ``global``, an ingested feature
-vector) through one flat ``Sequential`` of its own; a concatenation of the
-branch outputs, global-first; and a trunk of FC layers producing logits.
+vector) through one flat ``Sequential`` of its own and stating the width it
+emits (``Branch.width``, set by the builder); a concatenation of the branch
+outputs, global-first; and a trunk of FC layers producing logits.
 A semantic model is the ``head`` branch under a ``classifier`` trunk; a
 global model is the ``global_fc1`` branch under a ``classifier`` trunk; the
 fusion model is both branches under an ``fc3``/ReLU/``fc4`` trunk.
@@ -155,9 +156,6 @@ class SsfInput(Layer):
             return x.transpose(0, 2, 1)
         return x
 
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return self.forward(np.zeros(in_shape)).shape
-
 
 @dataclass
 class Branch:
@@ -165,20 +163,16 @@ class Branch:
 
     ``input`` names what the branch reads: ``ssf`` for (B, L, 5) feature
     batches, ``global`` for (B, W) global vectors. ``desc`` holds the
-    descriptor keys that rebuild the branch. Parameter names are those of
-    ``layers``, so a branch names its layers with their checkpoint prefix.
+    descriptor keys that rebuild the branch, and ``width`` is the width of
+    its output. Parameter names are those of ``layers``, so a branch names
+    its layers with their checkpoint prefix.
     """
 
     name: str
     input: str
     layers: Sequential
     desc: dict
-
-    def sample(self) -> np.ndarray:
-        """A batch-1 zero input of the shape this branch reads."""
-        if self.input == "ssf":
-            return np.zeros((1, self.desc["num_categories"], 5))
-        return np.zeros((1, self.desc["global_input_width"]))
+    width: int
 
 
 class Model:
@@ -189,7 +183,6 @@ class Model:
         self.branches = list(branches)
         self.trunk = trunk
         self._desc = dict(desc)
-        self._widths = [b.layers.out_shape(b.sample().shape)[1] for b in self.branches]
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [p for b in self.branches for p in b.layers.params()] + self.trunk.params()
@@ -246,8 +239,8 @@ class Model:
         for _, layer in reversed(self.trunk.layers):
             grad = layer.backward(grad)
         start = 0
-        for b, width in zip(self.branches, self._widths):
-            g, start = grad[:, start : start + width], start + width
+        for b in self.branches:
+            g, start = grad[:, start : start + b.width], start + b.width
             if all(name in frozen for name, _ in b.layers.params()):
                 continue
             layers = [layer for _, layer in b.layers.layers]
@@ -264,22 +257,32 @@ class Model:
 
     def sample_inputs(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Batch-1 zero inputs ``(ssf, global_vec)``; None for an input no branch reads."""
-        inputs = {"ssf": None, "global": None}
-        for b in self.branches:
-            inputs[b.input] = b.sample()
-        return inputs["ssf"], inputs["global"]
+        d = self.descriptor()
+        return (np.zeros((1, d["num_categories"], 5)) if "num_categories" in d else None,
+                np.zeros((1, d["global_input_width"])) if "global_input_width" in d else None)
 
     def flop_count(self) -> int:
-        return (sum(b.layers.flop_count(b.sample().shape)[0] for b in self.branches)
-                + self.trunk.flop_count((1, sum(self._widths)))[0])
+        """FLOPs of a batch-1 forward: two per multiply-accumulate of a weight;
+        biases and activations are not counted. A dense weight is applied once.
+        A conv weight is applied once per position of the matrix its branch
+        reads: L x k for ``cnn``, L for ``pc1d``. Each conv is 3x3 or 3-tap
+        with padding 1, so it keeps that size."""
+        total = 0
+        for chain in [b.layers for b in self.branches] + [self.trunk]:
+            first = chain.layers[0][1]
+            positions = (first.num_categories * len(first.columns)
+                         if isinstance(first, SsfInput) else 1)
+            total += sum(2 * layer.weight.size * (positions if isinstance(layer, Conv2D) else 1)
+                         for _, layer in chain.layers if isinstance(layer, (Conv2D, Dense)))
+        return total
 
 
 def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
                 rng: np.random.Generator | None, *,
                 hidden: tuple[int, ...] = (512, 1024),
                 pc_channels: tuple[int, int] = (32, 64),
-                head_width: int = 1024) -> tuple[Branch, int]:
-    """The ``head`` branch over the subset's L x k columns, and the width it emits.
+                head_width: int = 1024) -> Branch:
+    """The ``head`` branch over the subset's L x k columns.
 
     ``cnn``: three 3x3 convs of ``CNN_CHANNELS`` (stride 1, padding 1, so each
     keeps L x k), then a dense layer to ``head_width``. ``nn``: dense layers of
@@ -331,14 +334,14 @@ def _ssf_branch(head_kind: str, subset: FeatureSubset, num_categories: int,
                          *((f"head.{name}", layer) for name, layer in head)])
     desc = {"head": head_kind, "subset": subset.spec_string(),
             "num_categories": num_categories, **options}
-    return Branch("head", "ssf", layers, desc), width
+    return Branch("head", "ssf", layers, desc, width)
 
 
 def _global_branch(cfg: FusionConfig, rng: np.random.Generator | None) -> Branch:
     layers = Sequential([("global_fc1", Dense(cfg.global_input_width, cfg.global_width, rng=rng)),
                          ("relu", ReLU())])
-    return Branch("global_fc1", "global", layers,
-                  {"global_input_width": cfg.global_input_width, "global_width": cfg.global_width})
+    desc = {"global_input_width": cfg.global_input_width, "global_width": cfg.global_width}
+    return Branch("global_fc1", "global", layers, desc, cfg.global_width)
 
 
 def build_semantic_classifier(head_kind: str, subset: FeatureSubset, num_categories: int,
@@ -346,8 +349,8 @@ def build_semantic_classifier(head_kind: str, subset: FeatureSubset, num_categor
                               **head_options) -> Model:
     if num_classes < 2:
         raise ValidationError(f"num_classes must be >= 2, got {num_classes}")
-    head, width = _ssf_branch(head_kind, subset, num_categories, rng, **head_options)
-    trunk = Sequential([("classifier", Dense(width, num_classes, rng=rng))])
+    head = _ssf_branch(head_kind, subset, num_categories, rng, **head_options)
+    trunk = Sequential([("classifier", Dense(head.width, num_classes, rng=rng))])
     return Model("semantic", [head], trunk, {"num_classes": num_classes})
 
 
@@ -366,9 +369,9 @@ def build_fusion_classifier(cfg: FusionConfig, head_kind: str, subset: FeatureSu
     # checkpoints were always built; global_fc1 is drawn even when ``base``
     # replaces it, so fc3 and fc4 do not depend on ``base``. The branches are
     # listed global-first.
-    head, width = _ssf_branch(head_kind, subset, num_categories, rng, **head_options)
-    if width != cfg.semantic_width:
-        raise ValidationError(f"head emits width {width}, fusion expects {cfg.semantic_width}")
+    head = _ssf_branch(head_kind, subset, num_categories, rng, **head_options)
+    if head.width != cfg.semantic_width:
+        raise ValidationError(f"head emits width {head.width}, fusion expects {cfg.semantic_width}")
     glob = _global_branch(cfg, rng)
     trunk = Sequential([("fc3", Dense(cfg.fused_width, cfg.fc3_width, rng=rng)),
                         ("relu", ReLU()),

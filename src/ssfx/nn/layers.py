@@ -82,16 +82,13 @@ def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) ->
 
 
 class Layer:
-    """What every layer shares: no parameters and no FLOPs unless it says
-    otherwise, and a forward cache that one backward call consumes."""
+    """What every layer shares: no parameters unless it says otherwise, and a
+    forward cache that one backward call consumes."""
 
     _cache = None
 
     def params(self) -> list[tuple[str, Tensor]]:
         return []
-
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return 0, self.out_shape(in_shape)
 
     def release(self) -> None:
         """Drop the forward cache and the parameters' gradient arrays."""
@@ -138,16 +135,9 @@ class Conv2D(Layer):
     def params(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if in_shape[1] != self.spec.in_channels:
-            raise ShapeError(f"{self.kind} expects {self.spec.in_channels} input channels, "
-                             f"got {in_shape[1]}")
-        return (in_shape[0], self.spec.out_channels, *in_shape[2:])
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"conv2d input must be 4-D, got shape {x.shape}")
-        self.out_shape(x.shape)
         return self._forward(x)
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
@@ -155,6 +145,8 @@ class Conv2D(Layer):
         w4 = self.weight.data.reshape(self.spec.out_channels, self.spec.in_channels, kh, kw)
         o, c = w4.shape[:2]
         b, _, h, w = x.shape
+        if x.shape[1] != c:
+            raise ShapeError(f"{self.kind} expects {c} input channels, got {x.shape[1]}")
         # Channels-last padded input; its windows flattened in (i, j, c)
         # order are the rows of the column matrix.
         padded = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
@@ -204,10 +196,6 @@ class Conv2D(Layer):
         super().release()
         self._workspace = None
 
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        out_shape = self.out_shape(in_shape)
-        return 2 * self.weight.size * int(np.prod(out_shape[2:])), out_shape
-
 
 class Conv1D(Conv2D):
     """1-D cross-correlation over (batch, channels, length) inputs.
@@ -225,7 +213,6 @@ class Conv1D(Conv2D):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv1d input must be 3-D, got shape {x.shape}")
-        self.out_shape(x.shape)
         return self._forward(x[:, :, None, :])[:, :, 0, :]
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -254,16 +241,12 @@ class Dense(Layer):
     def params(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        b, n = in_shape
-        if n != self.spec.in_channels:
-            raise ShapeError(f"dense expects {self.spec.in_channels} input features, got {n}")
-        return (b, self.spec.out_channels)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ShapeError(f"dense input must be 2-D, got shape {x.shape}")
-        self.out_shape(x.shape)
+        if x.shape[1] != self.spec.in_channels:
+            raise ShapeError(f"dense expects {self.spec.in_channels} input features, "
+                             f"got {x.shape[1]}")
         self._cache = x
         return x @ self.weight.data.T + self.bias.data
 
@@ -273,18 +256,11 @@ class Dense(Layer):
         np.sum(grad_out, axis=0, out=self.bias.grad_array())
         return grad_out @ self.weight.data if input_grad else None
 
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        out_shape = self.out_shape(in_shape)
-        return 2 * self.spec.in_channels * self.spec.out_channels, out_shape
-
 
 class ReLU(Layer):
     """Elementwise max(x, 0); the subgradient at exactly 0 is 0."""
 
     spec = LayerSpec("relu")
-
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return in_shape
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x > 0
@@ -298,12 +274,6 @@ class Flatten(Layer):
     """Collapse every non-batch axis, C-order."""
 
     spec = LayerSpec("flatten")
-
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        n = 1
-        for d in in_shape[1:]:
-            n *= d
-        return (in_shape[0], n)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
@@ -338,15 +308,3 @@ class Sequential:
         """Drop every buffer the layers keep between calls."""
         for _, layer in self.layers:
             layer.release()
-
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        for _, layer in self.layers:
-            in_shape = layer.out_shape(in_shape)
-        return in_shape
-
-    def flop_count(self, in_shape: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        total = 0
-        for _, layer in self.layers:
-            flops, in_shape = layer.flop_count(in_shape)
-            total += flops
-        return total, in_shape

@@ -1,4 +1,5 @@
 """CLI contract: exit codes, artifacts, run records, reproducibility."""
+import importlib
 import json
 import os
 import shutil
@@ -63,6 +64,19 @@ def synth_dir(tmp_path_factory):
     assert main(["synth", "--out", str(out), "--samples", "6", "--noise", "0.05",
                  "--seed", "3"]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def narrow_global(tmp_path_factory):
+    """A step-1 checkpoint trained on 16-wide global vectors, and the manifest
+    of a split-information dataset whose global vectors are 8 wide."""
+    root = tmp_path_factory.mktemp("narrow")
+    for name, width in (("wide", "16"), ("narrow", "8")):
+        assert main(["synth", "--out", str(root / name), "--variant", "split-info",
+                     "--samples", "3", "--global-width", width]) == 0
+    assert main(["train", "--manifest", str(root / "wide" / "dataset.manifest"), "--stage",
+                 "step1", "--epochs", "1", "--out", str(root / "step1")]) == 0
+    return str(root / "step1" / "model.ssfc"), str(root / "narrow" / "dataset.manifest")
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +231,23 @@ class TestExitCodes:
                     "--out", str(tmp_path / "run")]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: parameter 'global_fc1.weight' is not finite\n"
+        assert err == (f"error: {tmp_path / 'nan.ssfc'}: "
+                       f"parameter 'global_fc1.weight' is not finite\n")
+
+    def test_eval_of_narrower_global_vectors_is_one_line_data_error(self, narrow_global,
+                                                                    capsys):
+        base, manifest = narrow_global
+        assert main(["eval", "--manifest", manifest, "--checkpoint", base]) == 1
+        assert capsys.readouterr().err == "error: dense expects 16 input features, got 8\n"
+
+    def test_step2_on_base_of_another_global_width_names_the_checkpoint(self, narrow_global,
+                                                                        tmp_path, capsys):
+        base, manifest = narrow_global
+        assert main(["train", "--manifest", manifest, "--stage", "step2", "--head", "nn",
+                     "--from-checkpoint", base, "--epochs", "1",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (f"error: {base}: step-1 checkpoint "
+                                           f"global_input_width=16 does not match fusion config 8\n")
 
     @pytest.mark.parametrize("options,key", [
         ({"num_categories": 0}, "num_categories"),
@@ -774,6 +804,14 @@ class TestConsoleScript:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("usage error: ")
         assert not (tmp_path / "o").exists()
+
+    def test_console_script_names_main(self):
+        """``[project.scripts]`` points ``ssfx`` at ``ssfx.cli.main``, checked without an install."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(ssfx.__file__).resolve().parents[2] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["ssfx"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli_module.main
 
     def test_installed_entry_point_reports_version(self):
         exe = shutil.which("ssfx")

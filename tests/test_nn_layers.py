@@ -27,7 +27,7 @@ class TestConv2DForward:
         for h, w in [(7, 5), (1, 1), (1, 6), (9, 2)]:
             conv = Conv2D(2, 3)
             out = conv.forward(np.zeros((1, 2, h, w)))
-            assert out.shape == (1, 3, h, w) == conv.out_shape((1, 2, h, w))
+            assert out.shape == (1, 3, h, w)
 
     def test_bias_added_per_channel(self):
         conv = Conv2D(1, 2)
@@ -98,7 +98,7 @@ LAYER_KINDS = {
 def test_backward_before_forward_rejected(kind):
     make, in_shape = LAYER_KINDS[kind]
     layer = make()
-    probe = np.zeros(layer.out_shape(in_shape))
+    probe = np.zeros(make().forward(np.ones(in_shape)).shape)
     with pytest.raises(RuntimeError, match=f"{kind} backward called before forward"):
         layer.backward(probe)
     # One forward serves one backward.
@@ -112,12 +112,12 @@ def test_backward_before_forward_rejected(kind):
 def test_release_leaves_no_forward_cache(kind):
     make, in_shape = LAYER_KINDS[kind]
     layer = make()
-    layer.forward(np.ones(in_shape))
+    out = layer.forward(np.ones(in_shape))
     assert layer._cache is not None
     layer.release()
     assert layer._cache is None
     with pytest.raises(RuntimeError, match="before forward"):
-        layer.backward(np.zeros(layer.out_shape(in_shape)))
+        layer.backward(np.zeros(out.shape))
 
 
 def random_conv2d_case(rng):
@@ -225,12 +225,10 @@ def test_reused_buffers_carry_no_stale_state(make):
     for x in (rng.standard_normal(x0.shape), rng.standard_normal(x0.shape)[:2],
               rng.standard_normal((7, *x0.shape[1:]))):
         layer = make(np.random.default_rng(7))
-        probe0 = rng.standard_normal(layer.out_shape(x0.shape))
-        probe = rng.standard_normal(layer.out_shape(x.shape))
-        layer.forward(x0)
+        probe0 = rng.standard_normal(layer.forward(x0).shape)
         layer.backward(probe0)
         arrays = [t.grad for _, t in layer.params()]
-        layer.forward(x)
+        probe = rng.standard_normal(layer.forward(x).shape)
         layer.backward(probe)
         fresh = make(np.random.default_rng(7))
         fresh.forward(x)
@@ -252,8 +250,7 @@ def test_no_input_gradient_keeps_parameter_gradients(make, in_shape):
     rng = np.random.default_rng(13)
     x = rng.standard_normal(in_shape)
     layer = make(np.random.default_rng(5))
-    probe = rng.standard_normal(layer.out_shape(in_shape))
-    layer.forward(x)
+    probe = rng.standard_normal(layer.forward(x).shape)
     assert layer.backward(probe) is not None
     want = [t.grad.copy() for _, t in layer.params()]
     layer.forward(x)
