@@ -300,6 +300,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         model = load_model(ckpt)
     manifest = load_manifest(args.manifest)
     data = load_dataset(manifest)
+    width = model.descriptor().get("global_input_width")
+    if width is not None and data.global_vecs is not None and data.global_vecs.shape[1] != width:
+        raise ValidationError(f"{args.checkpoint}: global_input_width={width} does not match the "
+                              f"manifest's global vectors of width {data.global_vecs.shape[1]}")
     report = evaluate(model, data, args.split)
     print(report.to_text())
     if args.out is not None:

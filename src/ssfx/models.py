@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LoadedDataset, ordered_batches, shuffled_batches
+from .data import LoadedDataset, ordered_batches, shuffled_batches, usable_cpus
 from .features import FeatureSubset
 from .mask import ValidationError
 from .nn import (
@@ -232,12 +232,26 @@ class Model:
             outs.append(b.layers.forward(np.asarray(inputs[b.input], dtype=np.float64)))
         return self.trunk.forward(outs[0] if len(outs) == 1 else fuse_concat(*outs))
 
-    def backward(self, grad_logits: np.ndarray, frozen: set[str] | tuple[str, ...] = ()) -> None:
+    def backward(self, grad_logits: np.ndarray, frozen: set[str] | tuple[str, ...] = (),
+                 on_ready=None) -> None:
         """Backpropagate through the trunk, then through each branch not wholly in ``frozen``
-        down to its first parameterised layer, which computes no gradient for the data."""
+        down to its first parameterised layer, which computes no gradient for the data.
+
+        ``on_ready``, if given, is called with each of a layer's parameter
+        tensors right after that layer's backward returns: no later layer reads
+        them or writes their gradients, so ``train`` passes ``Adam.ready`` and
+        each update can start while the layers below are still being walked.
+        """
+        def walk(layer, grad, **kwargs):
+            grad = layer.backward(grad, **kwargs)
+            if on_ready is not None:
+                for _, tensor in layer.params():
+                    on_ready(tensor)
+            return grad
+
         grad = grad_logits
         for _, layer in reversed(self.trunk.layers):
-            grad = layer.backward(grad)
+            grad = walk(layer, grad)
         start = 0
         for b in self.branches:
             g, start = grad[:, start : start + b.width], start + b.width
@@ -246,8 +260,8 @@ class Model:
             layers = [layer for _, layer in b.layers.layers]
             first = next(i for i, layer in enumerate(layers) if layer.params())
             for layer in reversed(layers[first + 1 :]):
-                g = layer.backward(g)
-            layers[first].backward(g, input_grad=False)
+                g = walk(layer, g)
+            walk(layers[first], g, input_grad=False)
 
     def descriptor(self) -> dict:
         d = {"model": self.kind, **self._desc}
@@ -520,6 +534,15 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     Each epoch gives a ``train`` and a ``test`` line with the split's loss,
     accuracy and ``seconds``: the wall time of the step loop, or of the test
     pass. The checkpoint's ``final_metrics`` keep only loss and accuracy.
+
+    A step's Adam updates start during backward: ``Model.backward`` hands
+    each parameter to ``Adam.ready`` as soon as its gradient is final. When
+    the process may use two CPUs (``data.usable_cpus``, as for
+    ``map_masks``), a helper thread that lives for this call runs those
+    updates while the calling thread goes on with backward, and both finish
+    what is left in ``Adam.step``; on one CPU, ``step`` runs them all. The
+    parameters get the same bits either way (see ``nn.optim``). On every
+    exit the helper is joined before the gradient arrays are released.
     """
     kind = model.kind
     if _STAGE_MODEL[plan.stage] != kind:
@@ -548,6 +571,8 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
 
     metrics: list[dict] = []
     try:
+        if usable_cpus() >= 2:
+            opt.start_helper()
         start = time.perf_counter()
         for epoch in range(plan.epochs):
             epoch_loss = 0.0
@@ -558,7 +583,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                 if not np.isfinite(loss):
                     raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
                                           f"batch {batch}")
-                model.backward(grad, frozen)
+                model.backward(grad, frozen, opt.ready)
                 opt.step()
                 epoch_loss += loss * len(labels)
                 correct += int((np.argmax(logits, axis=1) == labels).sum())
@@ -574,8 +599,10 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                             "accuracy": test_acc, "seconds": tested - trained})
             start = tested
     finally:
-        # Free Adam's moments and the step buffers before the checkpoint
-        # copies the parameters, and do not keep them past a failed run.
+        # Join Adam's helper before the gradient arrays it reads are dropped,
+        # then free the moments and the step buffers before the checkpoint
+        # copies the parameters; a failed run keeps none of them either.
+        opt.close()
         del opt
         model.release()
 

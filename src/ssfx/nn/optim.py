@@ -12,10 +12,27 @@ every operation in place or in two block-sized scratch arrays, so a step
 allocates nothing in proportion to the parameter count. Each element still
 goes through the same IEEE operations in the same order as the full-array
 formula above, so the result is bit-identical to it.
+
+A step's updates may start before backward ends. ``ready(tensor)`` hands
+over one parameter whose gradient is final, as ``models.Model.backward``
+does right after each layer's backward returns: its block ranges join a
+queue. ``step()`` hands over every parameter not yet handed, then the
+calling thread updates ranges from the back of the queue until it is empty.
+After ``start_helper``, a helper thread also updates ranges, from the front,
+as soon as they are queued, so on two CPUs the update of a layer runs while
+the calling thread computes the backward of the layers below it; ``step()``
+then returns once the queue is empty and the helper is idle. ``close`` drops
+the queue and joins the helper. The bits cannot depend on which thread took
+a range or when: the rule is elementwise, the bias corrections are fixed
+when the step's first range is queued, each thread has its own scratch pair,
+and no range is queued before its gradient is final or read after ``step()``
+returns.
 """
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 
 import numpy as np
 
@@ -53,48 +70,136 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros(t.data.size) for _, t in self.params]
         self._v = [np.zeros(t.data.size) for _, t in self.params]
-        largest = max((t.data.size for _, t in self.params), default=0)
-        self._scratch = (np.empty(min(BLOCK, largest)), np.empty(min(BLOCK, largest)))
+        self._scratch = self._scratch_pair()
+        self._index = {id(t): i for i, (_, t) in enumerate(self.params)}
+        self._handed = [False] * len(self.params)  # handed over in the step under way
+        self._corrections: tuple[float, float] | None = None  # of the step under way
+        self._helper: threading.Thread | None = None
+        # Shared with the helper, under ``_cond``: the queue of (parameter, lo, hi)
+        # ranges, whether the helper is updating one, whether it must end, and
+        # the errors it raised, which step() raises.
+        self._cond = threading.Condition(threading.Lock())
+        self._queue: deque[tuple[int, int, int]] = deque()
+        self._helper_busy = False
+        self._closing = False
+        self._failed: list[BaseException] = []
+
+    def _scratch_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        size = min(BLOCK, max((t.data.size for _, t in self.params), default=0))
+        return np.empty(size), np.empty(size)
+
+    def ready(self, tensor: Tensor) -> None:
+        """Queue the update of ``tensor``, whose gradient is final. A tensor
+        this optimizer does not own, such as a frozen one, is ignored."""
+        i = self._index.get(id(tensor))
+        if i is not None and not self._handed[i]:
+            self._hand_over([i])
 
     def step(self) -> None:
-        """Apply one update using each parameter's gradient; every parameter
-        must have one."""
-        for name, p in self.params:
+        """Finish one update: queue every parameter not yet handed over (each
+        must have a gradient), then update from the back of the queue until it
+        is empty and the helper is idle. An error raised on the helper is
+        raised here."""
+        try:
+            self._hand_over([i for i, handed in enumerate(self._handed) if not handed])
+            while (item := self._take_last()) is not None:
+                self._update(item, self._scratch)
+        finally:
+            with self._cond:
+                self._queue.clear()
+                while self._helper_busy:
+                    self._cond.wait()
+            self._handed = [False] * len(self.params)
+            self._corrections = None
+            failed, self._failed = self._failed, []
+        if failed:
+            raise failed[0]
+
+    def start_helper(self) -> None:
+        """Update queued ranges on a helper thread as well, until ``close``."""
+        self._helper = threading.Thread(target=self._serve, name="adam-helper", daemon=True)
+        self._helper.start()
+
+    def close(self) -> None:
+        """Drop the queued ranges, then stop the helper and wait for it to end."""
+        with self._cond:
+            self._queue.clear()
+            self._closing = True
+            self._cond.notify_all()
+        if self._helper is not None:
+            self._helper.join()
+            self._helper = None
+
+    def _hand_over(self, indices: list[int]) -> None:
+        for i in indices:
+            name, p = self.params[i]
             if p.grad is None:
                 raise ValidationError(f"parameter {name!r} has no gradient to step on")
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - BETA1**t
-        bc2 = 1.0 - BETA2**t
-        for (name, p), m, v in zip(self.params, self._m, self._v):
-            self._update(_flat(name, p.data), _flat(name, p.grad), m, v, bc1, bc2)
+        if self._corrections is None:
+            self.step_count += 1
+            t = self.step_count
+            self._corrections = (1.0 - BETA1**t, 1.0 - BETA2**t)
+        ranges = [(i, lo, min(lo + BLOCK, self.params[i][1].size))
+                  for i in indices for lo in range(0, self.params[i][1].size, BLOCK)]
+        for i in indices:
+            self._handed[i] = True
+        with self._cond:
+            self._queue.extend(ranges)
+            self._cond.notify()
 
-    def _update(self, p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                bc1: float, bc2: float) -> None:
+    def _take_last(self) -> tuple[int, int, int] | None:
+        """The range at the back of the queue; None once the queue is empty and
+        the helper idle."""
+        with self._cond:
+            while not self._queue and self._helper_busy:
+                self._cond.wait()
+            return self._queue.pop() if self._queue else None
+
+    def _serve(self) -> None:
+        """The helper's loop: update ranges from the front of the queue."""
+        scratch = self._scratch_pair()
+        while True:
+            with self._cond:
+                self._helper_busy = False
+                self._cond.notify_all()
+                while not self._queue and not self._closing:
+                    self._cond.wait()
+                if self._closing:
+                    return
+                item = self._queue.popleft()
+                self._helper_busy = True
+            try:
+                self._update(item, scratch)
+            except BaseException as exc:  # raised by step() on the calling thread
+                with self._cond:
+                    self._failed.append(exc)
+
+    def _update(self, item: tuple[int, int, int],
+                scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        """Apply the rule to elements ``lo:hi`` of parameter ``i``, one block at most."""
+        i, lo, hi = item
+        name, t = self.params[i]
         b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
-        shrink = 1.0 - lr * self.weight_decay
-        s1, s2 = self._scratch
-        for lo in range(0, p.size, BLOCK):
-            hi = min(lo + BLOCK, p.size)
-            pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = s1[: hi - lo], s2[: hi - lo]
-            if self.weight_decay:
-                pb *= shrink
-            mb *= b1
-            vb *= b2
-            gb = g[lo:hi]
-            np.multiply(gb, 1.0 - b1, out=a)
-            mb += a
-            np.multiply(gb, gb, out=a)
-            a *= 1.0 - b2
-            vb += a
-            np.divide(mb, bc1, out=a)
-            a *= lr
-            np.divide(vb, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            pb -= a
+        bc1, bc2 = self._corrections
+        pb, gb = _flat(name, t.data)[lo:hi], _flat(name, t.grad)[lo:hi]
+        mb, vb = self._m[i][lo:hi], self._v[i][lo:hi]
+        a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
+        if self.weight_decay:
+            pb *= 1.0 - lr * self.weight_decay
+        mb *= b1
+        vb *= b2
+        np.multiply(gb, 1.0 - b1, out=a)
+        mb += a
+        np.multiply(gb, gb, out=a)
+        a *= 1.0 - b2
+        vb += a
+        np.divide(mb, bc1, out=a)
+        a *= lr
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        pb -= a
 
 
 def _flat(name: str, arr: np.ndarray) -> np.ndarray:

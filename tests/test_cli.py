@@ -238,7 +238,8 @@ class TestExitCodes:
                                                                     capsys):
         base, manifest = narrow_global
         assert main(["eval", "--manifest", manifest, "--checkpoint", base]) == 1
-        assert capsys.readouterr().err == "error: dense expects 16 input features, got 8\n"
+        assert capsys.readouterr().err == (f"error: {base}: global_input_width=16 does not match "
+                                           f"the manifest's global vectors of width 8\n")
 
     def test_step2_on_base_of_another_global_width_names_the_checkpoint(self, narrow_global,
                                                                         tmp_path, capsys):

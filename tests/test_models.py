@@ -1,10 +1,13 @@
 """Model builders, parameter accounting, checkpointing, and the training loop."""
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ssfx.data as data_module
+import ssfx.nn.optim as optim_module
 from ssfx.data import LoadedDataset
 from ssfx.evaluation import evaluate, measure_complexity
 from ssfx.features import FeatureSubset
@@ -28,6 +31,7 @@ from ssfx.models import (
 )
 from ssfx.nn import (Adam, Checkpoint, CheckpointError, Sequential, Tensor, save_checkpoint,
                      softmax)
+from ssfx.nn.optim import BLOCK
 
 
 def toy_dataset(n_per_class=20, L=4, classes=2, global_width=None, seed=0):
@@ -925,3 +929,112 @@ class TestForwardOnlyCallsKeepNothing:
         assert report.total == 96
         assert current - before < 2**20, current - before
         assert peak - before < 2 * workspace, (peak - before, workspace)
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(data_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def helpers_started(monkeypatch):
+    """Every thread Adam starts while the test runs."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(optim_module.threading, "Thread", Recorded)
+    return started
+
+
+class TestAdamHelper:
+    """On two CPUs, ``train`` runs Adam's updates on a helper thread during
+    backward as well; the parameters get the same bits as on one CPU, and
+    the helper never outlives the call."""
+
+    plan = TestStepBuffers.plan
+
+    @staticmethod
+    def build(head, base=None):
+        """A model whose largest parameter spans several Adam blocks."""
+        rng = np.random.default_rng(5)
+        cfg = FusionConfig(1200, 2, global_width=64, semantic_width=64, fc3_width=16)
+        if head == "step1":
+            return build_global_classifier(cfg, rng)
+        if head == "step2":
+            return build_fusion_classifier(cfg, "nn", FeatureSubset(), 8, rng,
+                                           hidden=(2000, 64), base=base)
+        if head == "pc1d":
+            return build_semantic_classifier("pc1d", FeatureSubset.parse("pc"), 8, 2, rng,
+                                             pc_channels=(8, 16), head_width=600)
+        return build_semantic_classifier(head, FeatureSubset(), 8, 2, rng,
+                                         hidden=(2000, 64), head_width=64)
+
+    @pytest.mark.parametrize("head", ["cnn", "nn", "pc1d", "step1", "step2"])
+    def test_two_cpus_give_the_bytes_of_one(self, head, monkeypatch, helpers_started):
+        data = toy_dataset(L=8, global_width=1200)
+        base = None
+        if head == "step2":
+            usable_cpus(monkeypatch, 1)
+            base, _ = train(self.plan("step1_global"), data, self.build("step1"))
+        stage = {"step1": "step1_global", "step2": "step2_fusion"}.get(head, "semantic_only")
+        frozen = self.build(head, base).global_param_names() if head == "step2" else ()
+        assert max(t.size for _, t in self.build(head).parameters()) > 2 * BLOCK
+        states = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            del helpers_started[:]
+            model = self.build(head, base)
+            ckpt, _ = train(self.plan(stage, frozen=frozen), data, model)
+            assert len(helpers_started) == cpus - 1
+            assert not any(t.is_alive() for t in helpers_started)
+            states[cpus] = {name: arr.tobytes() for name, arr in model.state_arrays().items()}
+            if base is not None:
+                before, after = base.block_hashes(), ckpt.block_hashes()
+                assert all(after[name] == before[name] for name in frozen)
+        assert states[1] == states[2]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ArithmeticError])
+    def test_error_in_backward_mid_step_joins_the_helper(self, error, monkeypatch,
+                                                         helpers_started):
+        usable_cpus(monkeypatch, 2)
+        data = toy_dataset(L=8)
+        model = self.build("cnn")
+        layers = dict(model.branches[0].layers.layers)
+        handed = []
+        real_ready = Adam.ready
+        monkeypatch.setattr(Adam, "ready", lambda opt, t: (handed.append(t), real_ready(opt, t)))
+        calls = []
+        real_backward = layers["head.conv2"].backward
+
+        def failing_backward(grad, **kwargs):
+            calls.append(len(handed))
+            if len(calls) == 2:
+                raise error("raised mid-step")
+            return real_backward(grad, **kwargs)
+
+        layers["head.conv2"].backward = failing_backward
+        before = threading.active_count()
+        with pytest.raises(error, match="raised mid-step"):
+            train(self.plan(), data, model)
+        # Each step hands over the classifier's, fc's and conv3's six parameters
+        # before conv2's backward; the second step failed there.
+        assert calls == [6, 16]
+        assert threading.active_count() == before
+        assert len(helpers_started) == 1 and not helpers_started[0].is_alive()
+        assert all(t.grad is None for _, t in model.parameters())
+
+    def test_error_on_the_helper_is_raised_by_train(self, monkeypatch, helpers_started):
+        usable_cpus(monkeypatch, 2)
+        data = toy_dataset(L=8)
+        model = self.build("cnn")
+        fc = dict(model.parameters())["head.fc.weight"]
+        fc.data = np.asfortranarray(fc.data)
+        before = threading.active_count()
+        with pytest.raises(ValidationError, match="parameter 'head.fc.weight': Adam updates "
+                                                  "C-contiguous arrays in place"):
+            train(self.plan(), data, model)
+        assert threading.active_count() == before
+        assert len(helpers_started) == 1 and not helpers_started[0].is_alive()

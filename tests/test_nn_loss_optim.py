@@ -1,10 +1,14 @@
 """Loss and optimizer behavior against frozen values and scalar simulations."""
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ssfx.nn.optim as optim_module
 from ssfx.features import FeatureSubset
 from ssfx.mask import ValidationError
 from ssfx.models import build_semantic_classifier
@@ -188,6 +192,113 @@ class TestAdam:
             opt.step()
         np.testing.assert_array_equal(p.data, np.ones(3))
         assert opt.step_count == 0
+
+    def test_step_without_a_gradient_is_refused_with_the_helper_running(self):
+        p, q = Tensor(np.ones(3)), Tensor(np.ones(2))
+        opt = Adam([("p", p), ("q", q)], learning_rate=0.01)
+        before = threading.active_count()
+        opt.start_helper()
+        p.grad = np.ones(3)
+        try:
+            with pytest.raises(ValidationError, match="parameter 'q' has no gradient"):
+                opt.step()
+        finally:
+            opt.close()
+        np.testing.assert_array_equal(p.data, np.ones(3))
+        assert opt.step_count == 0
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["alone", "helper"])
+    def test_parameters_handed_over_in_any_order_get_the_bits_of_step(self, helper):
+        rng = np.random.default_rng(4)
+        sizes = (2 * BLOCK + 5, 7, BLOCK, 1, 3 * BLOCK)
+        init = [rng.standard_normal(n) for n in sizes]
+        ours = [Tensor(a.copy()) for a in init]
+        ref = [Tensor(a.copy()) for a in init]
+        opt = Adam([(f"p{i}", t) for i, t in enumerate(ours)], learning_rate=1e-2,
+                   weight_decay=5e-4)
+        ref_opt = Adam([(f"p{i}", t) for i, t in enumerate(ref)], learning_rate=1e-2,
+                       weight_decay=5e-4)
+        if helper:
+            opt.start_helper()
+        # Switch threads as often as the interpreter can, to shake out races.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for step in range(5):
+                for a, b in zip(ours, ref):
+                    a.grad = rng.standard_normal(a.size)
+                    b.grad = a.grad.copy()
+                # Some parameters, in a random order, and a tensor Adam does not own.
+                for i in rng.permutation(len(ours))[: step]:
+                    opt.ready(ours[i])
+                opt.ready(Tensor(np.ones(4)))
+                opt.step()
+                ref_opt.step()
+                assert [t.data.tobytes() for t in ours] == [t.data.tobytes() for t in ref]
+        finally:
+            sys.setswitchinterval(interval)
+            opt.close()
+        assert opt.step_count == ref_opt.step_count == 5
+
+    def test_error_on_the_helper_is_raised_by_step(self, monkeypatch):
+        # Two ranges of a non-contiguous parameter: the helper takes the first,
+        # and the calling thread may take the second only once the helper failed.
+        p = Tensor(np.zeros((2, BLOCK)))
+        p.data = np.asfortranarray(np.ones((2, BLOCK)))
+        p.grad = np.zeros((2, BLOCK))
+        opt = Adam([("p", p)], learning_rate=0.01)
+        helper_failed = threading.Event()
+        real_flat = optim_module._flat
+
+        def flat(name, arr):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_failed.wait(10)
+                return real_flat(name, arr)
+            try:
+                return real_flat(name, arr)
+            except ValidationError:
+                helper_failed.set()
+                raise
+
+        monkeypatch.setattr(optim_module, "_flat", flat)
+        before = threading.active_count()
+        opt.start_helper()
+        try:
+            opt.ready(p)
+            with pytest.raises(ValidationError, match="parameter 'p': Adam updates C-contiguous"):
+                opt.step()
+        finally:
+            opt.close()
+        assert helper_failed.is_set()
+        assert threading.active_count() == before
+
+    def test_a_step_that_raises_returns_once_the_helper_is_idle(self, monkeypatch):
+        good, bad = Tensor(np.ones(8)), Tensor(np.zeros((2, 3)))
+        bad.data = np.asfortranarray(np.ones((2, 3)))
+        good.grad, bad.grad = np.ones(8), np.zeros((2, 3))
+        opt = Adam([("good", good), ("bad", bad)], learning_rate=0.01)
+        helper_started = threading.Event()
+        real_flat = optim_module._flat
+
+        def flat(name, arr):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_started.wait(10)
+            elif name == "good":
+                helper_started.set()
+                time.sleep(0.2)
+            return real_flat(name, arr)
+
+        monkeypatch.setattr(optim_module, "_flat", flat)
+        opt.start_helper()
+        try:
+            opt.ready(good)
+            with pytest.raises(ValidationError, match="parameter 'bad'"):
+                opt.step()
+            # The helper's range of ``good`` was done before step() raised.
+            assert (good.data < 1).all()
+        finally:
+            opt.close()
 
     def test_step_allocates_nothing_in_proportion_to_the_parameter(self):
         p = Tensor(np.random.default_rng(0).standard_normal(2**22))
