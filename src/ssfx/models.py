@@ -19,11 +19,14 @@ Training runs in two steps: step 1 fits the global model on the global
 vectors alone; step 2 loads those weights into the fusion model's global
 branch, freezes them, and trains the semantic head plus the fusion FC
 layers. Backward skips wholly frozen branches and gives the inputs no gradient.
+A wholly frozen branch maps each sample to the same output for the whole of
+a ``train`` call, so ``train`` runs it once over the dataset, before the
+first step, and every step and test pass reads its output rows instead.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -526,6 +529,41 @@ def score_split(model, data: LoadedDataset, idx: np.ndarray,
 
 
 _STAGE_MODEL = {"semantic_only": "semantic", "step1_global": "global", "step2_fusion": "fusion"}
+# The dataset field that holds each branch input.
+_INPUT_FIELD = {"ssf": "ssf", "global": "global_vecs"}
+
+
+class _Ran(Sequential):
+    """Stands in for a frozen branch's ``layers`` once ``train`` has run them
+    over the dataset: the same layers and parameters, but ``forward`` returns
+    its input, which is then the branch's output rows."""
+
+    def __init__(self, layers: Sequential) -> None:
+        super().__init__(layers.layers)
+        self.original = layers
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+
+def _run_frozen(model: Model, data: LoadedDataset, frozen: set[str],
+                batch_size: int) -> LoadedDataset:
+    """Run each branch of ``model`` whose parameters are all in ``frozen`` over
+    every sample, in ``ordered_batches`` of ``batch_size`` as a test pass does,
+    then swap that branch's layers for a ``_Ran`` of them. Returns ``data``
+    with each such branch's input replaced by its output rows, so
+    ``model.forward`` of a batch reads them."""
+    outputs = {}
+    for b in model.branches:
+        if not all(name in frozen for name, _ in b.layers.params()):
+            continue
+        field = _INPUT_FIELD[b.input]
+        x = getattr(data, field)
+        outputs[field] = np.empty((len(x), b.width))
+        for sel in ordered_batches(np.arange(len(x)), batch_size):
+            outputs[field][sel] = b.layers.forward(np.asarray(x[sel], dtype=np.float64))
+        b.layers = _Ran(b.layers)
+    return replace(data, **outputs)
 
 
 def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoint, list[dict]]:
@@ -543,6 +581,24 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     what is left in ``Adam.step``; on one CPU, ``step`` runs them all. The
     parameters get the same bits either way (see ``nn.optim``). On every
     exit the helper is joined before the gradient arrays are released.
+
+    A branch whose parameters are all frozen (step 2's ``global_fc1``) runs
+    once, over every sample in batches of ``plan.batch_size``, before the
+    first step; its time counts in epoch 0's train ``seconds``. For the rest
+    of the call that branch's layers pass their input through (``_Ran``) and
+    the steps and test passes give them the branch's output rows, so they
+    still go through ``model.forward`` and ``model.backward``. The layers are
+    put back, and the output rows dropped, on every exit.
+
+    The rows have the bits that running the branch in each step gives: its
+    weights do not change during the call, and each row is computed from its
+    sample's input alone, in batches of the size the steps use. OpenBLAS
+    rounds a GEMM row the same whatever rows sit beside it, but not always
+    whatever the row count: a one-row product (a GEMV), or a few rows
+    against many, may round differently. So where a short last batch (of
+    this pass, of an epoch or of a test pass) has such a count, one sample
+    say, rows can differ in the last bits from a forward per step. Runs
+    stay reproducible from their seed.
     """
     kind = model.kind
     if _STAGE_MODEL[plan.stage] != kind:
@@ -574,6 +630,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
         if usable_cpus() >= 2:
             opt.start_helper()
         start = time.perf_counter()
+        data = _run_frozen(model, data, frozen, plan.batch_size)
         for epoch in range(plan.epochs):
             epoch_loss = 0.0
             correct = 0
@@ -599,6 +656,10 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                             "accuracy": test_acc, "seconds": tested - trained})
             start = tested
     finally:
+        for b in model.branches:
+            if isinstance(b.layers, _Ran):
+                b.layers = b.layers.original
+        del data
         # Join Adam's helper before the gradient arrays it reads are dropped,
         # then free the moments and the step buffers before the checkpoint
         # copies the parameters; a failed run keeps none of them either.

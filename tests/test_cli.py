@@ -15,7 +15,7 @@ import ssfx
 import ssfx.cli as cli_module
 import ssfx.data as data_module
 from ssfx.cli import main
-from ssfx.io import read_feature_matrix, write_pgm
+from ssfx.io import read_feature_matrix, write_feature_vector, write_pgm
 from ssfx.nn import Checkpoint, load_checkpoint, save_checkpoint
 
 
@@ -233,6 +233,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == (f"error: {tmp_path / 'nan.ssfc'}: "
                        f"parameter 'global_fc1.weight' is not finite\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_step2_on_global_vectors_that_overflow_the_frozen_branch(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--variant", "split-info",
+                     "--samples", "3"]) == 0
+        manifest = data / "dataset.manifest"
+        assert main(["train", "--manifest", str(manifest), "--stage", "step1", "--epochs", "1",
+                     "--out", str(tmp_path / "step1")]) == 0
+        # Finite vectors whose products with the step-1 weights overflow.
+        for line in manifest.read_text().splitlines()[1:]:
+            path = data / json.loads(line)["global"]
+            write_feature_vector(path, np.full(len(read_feature_matrix(path)[0]), 1e308))
+        capsys.readouterr()
+        run = tmp_path / "run"
+        rc = main(["train", "--manifest", str(manifest), "--stage", "step2", "--head", "nn",
+                   "--from-checkpoint", str(tmp_path / "step1" / "model.ssfc"),
+                   "--epochs", "1", "--out", str(run)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: fuse_concat inputs must be finite\n"
+        assert sorted(p.name for p in run.iterdir()) == ["run_record.json"]
 
     def test_eval_of_narrower_global_vectors_is_one_line_data_error(self, narrow_global,
                                                                     capsys):

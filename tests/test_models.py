@@ -8,7 +8,7 @@ import pytest
 
 import ssfx.data as data_module
 import ssfx.nn.optim as optim_module
-from ssfx.data import LoadedDataset
+from ssfx.data import LoadedDataset, shuffled_batches
 from ssfx.evaluation import evaluate, measure_complexity
 from ssfx.features import FeatureSubset
 from ssfx.mask import ValidationError
@@ -30,7 +30,7 @@ from ssfx.models import (
     train,
 )
 from ssfx.nn import (Adam, Checkpoint, CheckpointError, Sequential, Tensor, save_checkpoint,
-                     softmax)
+                     softmax, softmax_cross_entropy)
 from ssfx.nn.optim import BLOCK
 
 
@@ -1038,3 +1038,173 @@ class TestAdamHelper:
             train(self.plan(), data, model)
         assert threading.active_count() == before
         assert len(helpers_started) == 1 and not helpers_started[0].is_alive()
+
+
+def model_layers(model):
+    """Every layer of the model, named ``branch/layer`` or ``trunk/layer``."""
+    chains = [(b.name, b.layers) for b in model.branches] + [("trunk", model.trunk)]
+    return [(f"{owner}/{name}", layer) for owner, seq in chains for name, layer in seq.layers]
+
+
+class TestFrozenBranchRunsOnce:
+    """``train`` runs a wholly frozen branch once over every sample before the
+    first step; the steps and test passes read its output rows, with the bits
+    of running it in each of them."""
+
+    plan = TestStepBuffers.plan
+
+    @staticmethod
+    def step2(head, data, frozen_width=64):
+        """A step-1 checkpoint trained on ``data``, and a fusion model built on it."""
+        cfg = FusionConfig(data.global_vecs.shape[1], 2, global_width=frozen_width,
+                           semantic_width=16, fc3_width=8)
+        base, _ = train(TestStepBuffers().plan("step1_global"), data,
+                        build_global_classifier(cfg, np.random.default_rng(1)))
+        model = build_fusion_classifier(cfg, head, FeatureSubset(), data.num_categories,
+                                        np.random.default_rng(5), hidden=(24, 16),
+                                        head_width=16, base=base)
+        return base, model
+
+    @staticmethod
+    def reference_train(plan, data, model):
+        """``train``'s step loop with the frozen branch run in every step and
+        test pass by the full ``model.forward``. Returns the train and test
+        losses of each epoch."""
+        frozen = set(plan.frozen)
+        opt = Adam([(n, t) for n, t in model.parameters() if n not in frozen],
+                   learning_rate=plan.learning_rate, weight_decay=plan.weight_decay)
+        losses = []
+        for epoch in range(plan.epochs):
+            total = 0.0
+            for sel in shuffled_batches(data.train_idx, plan.batch_size, plan.seed, epoch):
+                loss, grad = softmax_cross_entropy(
+                    model.forward(data.ssf[sel], data.global_vecs[sel]), data.labels[sel])
+                model.backward(grad, frozen, opt.ready)
+                opt.step()
+                total += loss * len(sel)
+            losses += [total / len(data.train_idx),
+                       score_split(model, data, data.test_idx, plan.batch_size)[0]]
+        opt.close()
+        model.release()
+        return losses
+
+    @pytest.mark.parametrize("head", ["cnn", "nn"])
+    def test_steps_get_the_bits_of_a_forward_per_step(self, head, monkeypatch):
+        # 28 train samples make a short last step of 4; the 40 rows of the
+        # precomputed branch are five full batches of 8.
+        data = toy_dataset(L=8, global_width=1200)
+        base, model = self.step2(head, data)
+        frozen = model.global_param_names()
+        plan = self.plan("step2_fusion", epochs=3, frozen=frozen)
+        losses = self.reference_train(plan, data, model)
+        expected = {name: arr.tobytes() for name, arr in model.state_arrays().items()}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            _, model = self.step2(head, data)
+            ckpt, metrics = train(plan, data, model)
+            assert {name: arr.tobytes() for name, arr in model.state_arrays().items()} == expected
+            assert [m["loss"] for m in metrics] == losses
+            before, after = base.block_hashes(), ckpt.block_hashes()
+            assert all(after[name] == before[name] for name in frozen)
+
+    def test_the_frozen_layer_sees_each_sample_once_before_any_step(self):
+        data = toy_dataset(L=4, global_width=12)
+        _, model = self.step2("nn", data)
+        log, rows = [], []
+        fc1 = dict(model.branches[0].layers.layers)["global_fc1"]
+        real_fc1, real_forward = fc1.forward, model.forward
+
+        def fc1_forward(x):
+            log.append("global_fc1")
+            rows.append(x.copy())
+            return real_fc1(x)
+
+        def forward(*args):
+            log.append("model")
+            return real_forward(*args)
+
+        fc1.forward, model.forward = fc1_forward, forward
+        plan = self.plan("step2_fusion", frozen=model.global_param_names())
+        train(plan, data, model)
+        assert log == ["global_fc1"] * 5 + ["model"] * (2 * (4 + 2))
+        assert all(len(x) <= plan.batch_size for x in rows)
+        np.testing.assert_array_equal(np.concatenate(rows), data.global_vecs)
+
+    @pytest.mark.parametrize("stage", ["semantic_only", "step1_global", "step2_fusion"])
+    def test_layer_forward_calls(self, stage):
+        # 28 train and 12 test samples: 4 + 2 batches of 8 per epoch; the
+        # precomputed branch reads the 40 samples in 5 batches.
+        data = toy_dataset(L=4, global_width=12)
+        frozen = ()
+        if stage == "semantic_only":
+            model = build_semantic_classifier("cnn", FeatureSubset(), 4, 2,
+                                              np.random.default_rng(0), head_width=12)
+        elif stage == "step1_global":
+            model = build_global_classifier(FusionConfig(12, 2, global_width=8),
+                                            np.random.default_rng(0))
+        else:
+            _, model = self.step2("cnn", data)
+            frozen = model.global_param_names()
+        calls = {}
+        for name, layer in model_layers(model):
+            def counted(x, name=name, real=layer.forward):
+                calls[name] = calls.get(name, 0) + 1
+                return real(x)
+            layer.forward = counted
+        train(self.plan(stage, frozen=frozen), data, model)
+        expected = {name: 2 * (4 + 2) for name, _ in model_layers(model)}
+        if stage == "step2_fusion":
+            expected.update({"global_fc1/global_fc1": 5, "global_fc1/relu": 5})
+        assert calls == expected
+
+    @pytest.mark.parametrize("error", [None, KeyboardInterrupt, ArithmeticError])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_model_is_put_back_on_every_exit(self, error, cpus, monkeypatch, helpers_started):
+        usable_cpus(monkeypatch, cpus)
+        data = toy_dataset(L=4, global_width=12)
+        _, model = self.step2("cnn", data)
+        del helpers_started[:]
+        branches = [(b, b.layers) for b in model.branches]
+        conv2 = dict(model.branches[1].layers.layers)["head.conv2"]
+        real_backward, calls = conv2.backward, []
+
+        def backward(grad, **kwargs):
+            calls.append(1)
+            if len(calls) == 2 and error is not None:
+                raise error("raised mid-step")
+            return real_backward(grad, **kwargs)
+
+        conv2.backward = backward
+        before = threading.active_count()
+        plan = self.plan("step2_fusion", frozen=model.global_param_names())
+        if error is None:
+            train(plan, data, model)
+        else:
+            with pytest.raises(error, match="raised mid-step"):
+                train(plan, data, model)
+        assert [(b, b.layers) for b in model.branches] == branches
+        assert held_buffers(model) == []
+        assert threading.active_count() == before
+        assert len(helpers_started) == cpus - 1
+        # The model forwards through its frozen branch again.
+        g = np.zeros((1, 12))
+        model.forward(data.ssf[:1], g)
+        assert dict(model.branches[0].layers.layers)["global_fc1"]._cache is not None
+        model.release()
+
+    def test_precomputed_branch_peaks_at_its_output_and_one_batch(self):
+        # 2000 samples: the frozen branch's output is 4 MB, a batch's 64 kB.
+        data = toy_dataset(n_per_class=1000, L=2, global_width=64)
+        _, model = self.step2("nn", data, frozen_width=256)
+        output = 2000 * 256 * 8
+        plan = self.plan("step2_fusion", epochs=1, batch_size=BATCH_SIZE,
+                         frozen=model.global_param_names())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train(plan, data, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert output < peak - before < output * 5 // 4, (peak - before, output)
