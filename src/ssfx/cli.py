@@ -55,6 +55,7 @@ from .models import (
     train,
 )
 from .nn import CheckpointError, CorruptedGradients, grad_check, load_checkpoint, save_checkpoint
+from .nn.helper import blas_threads
 
 _STAGE_NAMES = {"semantic": "semantic_only", "step1": "step1_global", "step2": "step2_fusion"}
 
@@ -182,9 +183,9 @@ def _record(args: argparse.Namespace, exit_code: int, error: str | None) -> None
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
     except (TypeError, KeyError):  # an older numpy, without the dict form
         blas = None
-    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    variables = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     environment = {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
-                   "usable_cpus": usable_cpus(),
+                   "usable_cpus": usable_cpus(), "blas_threads": blas_threads(),
                    "thread_variables": {k: os.environ.get(k) for k in variables}}
     record = {"command": args.command, "config": config, "version": __version__,
               "environment": environment, "exit_code": exit_code, "error": error}

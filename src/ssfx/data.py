@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ import numpy as np
 from .features import COLUMNS, extract_ssf
 from .io import load_mask, read_feature_vector, save_mask, write_feature_vector
 from .mask import SegmentationMask, ValidationError
+from .nn.helper import usable_cpus
 
 __all__ = [
     "ManifestEntry",
@@ -195,13 +195,6 @@ class LoadedDataset:
     num_classes: int
     num_categories: int
     global_vecs: np.ndarray | None = None
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def map_masks(work, items: list) -> list:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import LoadedDataset, ordered_batches, shuffled_batches, usable_cpus
+from .data import LoadedDataset, ordered_batches, shuffled_batches
 from .features import FeatureSubset
 from .mask import ValidationError
 from .nn import (
@@ -47,6 +47,7 @@ from .nn import (
     Tensor,
     softmax_cross_entropy,
 )
+from .nn.helper import helper_scope
 from .nn.optim import check_rates
 
 __all__ = [
@@ -573,14 +574,17 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     accuracy and ``seconds``: the wall time of the step loop, or of the test
     pass. The checkpoint's ``final_metrics`` keep only loss and accuracy.
 
-    A step's Adam updates start during backward: ``Model.backward`` hands
-    each parameter to ``Adam.ready`` as soon as its gradient is final. When
-    the process may use two CPUs (``data.usable_cpus``, as for
-    ``map_masks``), a helper thread that lives for this call runs those
-    updates while the calling thread goes on with backward, and both finish
-    what is left in ``Adam.step``; on one CPU, ``step`` runs them all. The
-    parameters get the same bits either way (see ``nn.optim``). On every
-    exit the helper is joined before the gradient arrays are released.
+    The call runs inside one ``nn.helper.helper_scope``: when the process
+    may use two CPUs (``usable_cpus``, as for ``map_masks``), a helper
+    thread lives for the call, and on every exit it is joined before the
+    gradient arrays are released. It computes half of every large forward
+    product of the steps, of the frozen branch's pass and of the test
+    passes (``nn.layers``), and runs a step's Adam updates while the
+    calling thread goes on with backward: ``Model.backward`` hands each
+    parameter to ``Adam.ready`` as soon as its gradient is final, and both
+    threads finish what is left in ``Adam.step``. On one CPU the calling
+    thread does all of it. The parameters get the same bits either way (see
+    ``nn.helper`` and ``nn.optim``).
 
     A branch whose parameters are all frozen (step 2's ``global_fc1``) runs
     once, over every sample in batches of ``plan.batch_size``, before the
@@ -627,43 +631,42 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
 
     metrics: list[dict] = []
     try:
-        if usable_cpus() >= 2:
-            opt.start_helper()
-        start = time.perf_counter()
-        data = _run_frozen(model, data, frozen, plan.batch_size)
-        for epoch in range(plan.epochs):
-            epoch_loss = 0.0
-            correct = 0
-            batches = shuffled_batches(data.train_idx, plan.batch_size, plan.seed, epoch)
-            for batch, (logits, labels) in enumerate(forward_batches(model, data, batches)):
-                loss, grad = softmax_cross_entropy(logits, labels)
-                if not np.isfinite(loss):
-                    raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
-                                          f"batch {batch}")
-                model.backward(grad, frozen, opt.ready)
-                opt.step()
-                epoch_loss += loss * len(labels)
-                correct += int((np.argmax(logits, axis=1) == labels).sum())
-            trained = time.perf_counter()
-            test_loss, confusion = score_split(model, data, data.test_idx, plan.batch_size)
-            test_acc = int(np.trace(confusion)) / len(data.test_idx)
-            tested = time.perf_counter()
-            if not np.isfinite(test_loss):
-                raise ArithmeticError(f"training diverged: test loss {test_loss} at epoch {epoch}")
-            metrics.append({"epoch": epoch, "split": "train", "loss": epoch_loss / n_train,
-                            "accuracy": correct / n_train, "seconds": trained - start})
-            metrics.append({"epoch": epoch, "split": "test", "loss": test_loss,
-                            "accuracy": test_acc, "seconds": tested - trained})
-            start = tested
+        with helper_scope():
+            start = time.perf_counter()
+            data = _run_frozen(model, data, frozen, plan.batch_size)
+            for epoch in range(plan.epochs):
+                epoch_loss = 0.0
+                correct = 0
+                batches = shuffled_batches(data.train_idx, plan.batch_size, plan.seed, epoch)
+                for batch, (logits, labels) in enumerate(forward_batches(model, data, batches)):
+                    loss, grad = softmax_cross_entropy(logits, labels)
+                    if not np.isfinite(loss):
+                        raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
+                                              f"batch {batch}")
+                    model.backward(grad, frozen, opt.ready)
+                    opt.step()
+                    epoch_loss += loss * len(labels)
+                    correct += int((np.argmax(logits, axis=1) == labels).sum())
+                trained = time.perf_counter()
+                test_loss, confusion = score_split(model, data, data.test_idx, plan.batch_size)
+                test_acc = int(np.trace(confusion)) / len(data.test_idx)
+                tested = time.perf_counter()
+                if not np.isfinite(test_loss):
+                    raise ArithmeticError(f"training diverged: test loss {test_loss} at "
+                                          f"epoch {epoch}")
+                metrics.append({"epoch": epoch, "split": "train", "loss": epoch_loss / n_train,
+                                "accuracy": correct / n_train, "seconds": trained - start})
+                metrics.append({"epoch": epoch, "split": "test", "loss": test_loss,
+                                "accuracy": test_acc, "seconds": tested - trained})
+                start = tested
     finally:
         for b in model.branches:
             if isinstance(b.layers, _Ran):
                 b.layers = b.layers.original
         del data
-        # Join Adam's helper before the gradient arrays it reads are dropped,
-        # then free the moments and the step buffers before the checkpoint
-        # copies the parameters; a failed run keeps none of them either.
-        opt.close()
+        # The scope has joined the helper, so nothing reads the gradient
+        # arrays now. Free the moments and the step buffers before the
+        # checkpoint copies the parameters; a failed run keeps none of them either.
         del opt
         model.release()
 

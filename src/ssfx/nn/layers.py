@@ -9,6 +9,24 @@ matrix, multiplies it by the flattened kernel once, and keeps the matrix
 for backward. Backward gets the weight gradient as one GEMM with that
 matrix and the input gradient as one GEMM per kernel tap, scatter-added
 into a padded buffer. ``Conv1D`` is a height-1 ``Conv2D``.
+
+Inside ``helper.helper_scope``, which ``models.train`` opens, and when the
+BLAS runs one thread, a forward product of at least ``SPLIT_MACS``
+multiply-adds runs in two halves: on two CPUs one on the calling thread
+and one on the scope's helper thread, on one CPU one after the other, so
+the bits do not depend on the CPU count. A conv splits the batch: each
+half pads its own samples, writes their rows of the im2col matrix and
+multiplies them into its rows of the output. ``Dense`` splits the output
+features, so each thread reads half of the weight instead of all of it.
+With OpenBLAS 0.3.31 (Haswell kernels), every head at the default widths
+gave the bytes of the unsplit forward, which ``evaluate`` and ``predict``
+compute, at L = 13, 37, 40, 100 and 150 and batches 32, 28, 4 and 1;
+other shapes and BLAS builds were not checked. With one BLAS thread,
+B=32 and L=40, the ``cnn`` head's forward went from 28.8 to 15.5 ms for
+conv2, from 38.8 to 19.4 ms for conv3 and from 25.1 to 13.3 ms for fc on a
+2-vCPU VM. Backward does not split, as the helper runs Adam's updates then
+(``optim.Adam``).
+
 Every layer caches what its backward pass needs during forward (``Layer``
 holds that contract); calling backward without a cached forward is a
 usage error. With ``input_grad=False``, ``Dense`` and the convs return
@@ -36,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mask import ValidationError
+from .helper import Helper, active
 from .tensor import Tensor
 
 __all__ = [
@@ -74,6 +93,23 @@ class LayerSpec:
 # Kernel extent per spatial axis and zero padding of every conv.
 KERNEL = 3
 PADDING = 1
+
+
+# Forward products of at least this many multiply-adds run in two halves
+# inside a helper scope (``_splitter``). At batch 32 and L=40 that is the
+# ``cnn`` head's conv2 and conv3 (472M each) and fc (419M), ``global_fc1``
+# (67M), the fusion trunk's fc3 (34M) and the ``nn`` head's fc2 (16.8M).
+# Below it a half's work barely covers handing it over: the ``cnn`` conv1
+# (3.7M) took 0.96 ms whole or split, and at batch 16 (1.8M) 0.49 ms whole
+# against 0.59 ms split.
+SPLIT_MACS = 2**23
+
+
+def _splitter(macs: int) -> Helper | None:
+    """The open scope's helper, if it splits products and one of ``macs``
+    multiply-adds is worth splitting."""
+    helper = active()
+    return helper if helper is not None and helper.splits and macs >= SPLIT_MACS else None
 
 
 def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -147,15 +183,29 @@ class Conv2D(Layer):
         b, _, h, w = x.shape
         if x.shape[1] != c:
             raise ShapeError(f"{self.kind} expects {c} input channels, got {x.shape[1]}")
-        # Channels-last padded input; its windows flattened in (i, j, c)
-        # order are the rows of the column matrix.
-        padded = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
-        padded[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        ho, wo = windows.shape[1:3]                              # (b, ho, wo, c, kh, kw)
-        cols = self._columns(b * ho * wo, kh * kw * c)
-        np.copyto(cols.reshape(b, ho, wo, kh, kw, c), windows.transpose(0, 1, 2, 4, 5, 3))
-        out = cols @ w4.transpose(0, 2, 3, 1).reshape(o, kh * kw * c).T
+        ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+        rows = ho * wo                                           # column rows per sample
+        cols = self._columns(b * rows, kh * kw * c)
+        kernel = w4.transpose(0, 2, 3, 1).reshape(o, kh * kw * c).T
+        out = np.empty((b * rows, o))
+
+        def run(lo: int, hi: int) -> None:
+            """Samples ``lo:hi``: their channels-last padded input, whose windows
+            flattened in (i, j, c) order are their rows of the column matrix,
+            and the GEMM of those rows."""
+            padded = np.zeros((hi - lo, h + 2 * ph, w + 2 * pw, c))
+            padded[:, ph : ph + h, pw : pw + w, :] = x[lo:hi].transpose(0, 2, 3, 1)
+            windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+            part = cols[lo * rows : hi * rows]                   # windows: (n, ho, wo, c, kh, kw)
+            np.copyto(part.reshape(hi - lo, ho, wo, kh, kw, c), windows.transpose(0, 1, 2, 4, 5, 3))
+            np.matmul(part, kernel, out=out[lo * rows : hi * rows])
+
+        helper = _splitter(b * rows * kernel.size) if b > 1 else None
+        if helper is None:
+            run(0, b)
+        else:
+            mid = (b + 1) // 2
+            helper.split(lambda: run(0, mid), lambda: run(mid, b))
         out += self.bias.data
         self._cache = (x.shape, cols)
         return out.reshape(b, ho, wo, o).transpose(0, 3, 1, 2)
@@ -248,7 +298,19 @@ class Dense(Layer):
             raise ShapeError(f"dense expects {self.spec.in_channels} input features, "
                              f"got {x.shape[1]}")
         self._cache = x
-        return x @ self.weight.data.T + self.bias.data
+        w = self.weight.data
+        helper = _splitter(x.shape[0] * w.size) if w.shape[0] >= 16 else None
+        if helper is None:
+            return x @ w.T + self.bias.data
+        # Halves of a multiple of 8 output features. With OpenBLAS 0.3.31
+        # (Haswell kernels), each half then had the bits of the whole product
+        # in 300 random shapes whose width was a multiple of 8; split at
+        # width // 2, 46 and 58 of two sets of 150 random shapes differed.
+        out, h = np.empty((x.shape[0], w.shape[0])), w.shape[0] // 16 * 8
+        helper.split(lambda: np.matmul(x, w[:h].T, out=out[:, :h]),
+                     lambda: np.matmul(x, w[h:].T, out=out[:, h:]))
+        out += self.bias.data
+        return out
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x = self._take_cache()

@@ -18,25 +18,29 @@ over one parameter whose gradient is final, as ``models.Model.backward``
 does right after each layer's backward returns: its block ranges join a
 queue. ``step()`` hands over every parameter not yet handed, then the
 calling thread updates ranges from the back of the queue until it is empty.
-After ``start_helper``, a helper thread also updates ranges, from the front,
-as soon as they are queued, so on two CPUs the update of a layer runs while
-the calling thread computes the backward of the layers below it; ``step()``
-then returns once the queue is empty and the helper is idle. ``close`` drops
-the queue and joins the helper. The bits cannot depend on which thread took
-a range or when: the rule is elementwise, the bias corrections are fixed
-when the step's first range is queued, each thread has its own scratch pair,
-and no range is queued before its gradient is final or read after ``step()``
-returns.
+Inside a ``helper.helper_scope`` that started a thread, each hand-over also
+gives the helper a job, unless one is under way, that updates ranges from
+the front until the queue is empty; so on two CPUs the update of a layer
+runs while the calling thread computes the backward of the layers below it.
+``step()`` returns once the queue is empty and the helper's jobs have
+ended. If an error cuts a step short before ``step()``, the helper's job
+drains the queue and ends before the scope joins the helper. The bits
+cannot depend on which thread took a range or when: the rule is
+elementwise, the bias corrections are fixed when the step's first range is
+queued, each thread has its own scratch pair, and no range is queued before
+its gradient is final or read after ``step()`` returns.
 """
 from __future__ import annotations
 
 import math
 import threading
 from collections import deque
+from concurrent.futures import Future
 
 import numpy as np
 
 from ..mask import ValidationError
+from .helper import active, collect
 from .tensor import Tensor
 
 # Elements per block: 32768 f64 is 256 KiB per array, so a block of the
@@ -74,15 +78,14 @@ class Adam:
         self._index = {id(t): i for i, (_, t) in enumerate(self.params)}
         self._handed = [False] * len(self.params)  # handed over in the step under way
         self._corrections: tuple[float, float] | None = None  # of the step under way
-        self._helper: threading.Thread | None = None
-        # Shared with the helper, under ``_cond``: the queue of (parameter, lo, hi)
-        # ranges, whether the helper is updating one, whether it must end, and
-        # the errors it raised, which step() raises.
-        self._cond = threading.Condition(threading.Lock())
+        self._helper_scratch: tuple[np.ndarray, np.ndarray] | None = None
+        # Shared with the helper, under ``_lock``: the queue of (parameter, lo, hi)
+        # ranges, and whether a job of the helper's is draining it. ``_drains``
+        # holds the jobs given in the step under way.
+        self._lock = threading.Lock()
         self._queue: deque[tuple[int, int, int]] = deque()
-        self._helper_busy = False
-        self._closing = False
-        self._failed: list[BaseException] = []
+        self._draining = False
+        self._drains: list[Future] = []
 
     def _scratch_pair(self) -> tuple[np.ndarray, np.ndarray]:
         size = min(BLOCK, max((t.data.size for _, t in self.params), default=0))
@@ -98,37 +101,22 @@ class Adam:
     def step(self) -> None:
         """Finish one update: queue every parameter not yet handed over (each
         must have a gradient), then update from the back of the queue until it
-        is empty and the helper is idle. An error raised on the helper is
-        raised here."""
+        is empty and the helper's jobs have ended. An error raised on the
+        helper is raised here."""
         try:
             self._hand_over([i for i, handed in enumerate(self._handed) if not handed])
             while (item := self._take_last()) is not None:
                 self._update(item, self._scratch)
         finally:
-            with self._cond:
+            with self._lock:
                 self._queue.clear()
-                while self._helper_busy:
-                    self._cond.wait()
+            failed = [e for e in map(collect, self._drains) if e is not None]
+            self._drains = []
+            self._draining = False
             self._handed = [False] * len(self.params)
             self._corrections = None
-            failed, self._failed = self._failed, []
         if failed:
             raise failed[0]
-
-    def start_helper(self) -> None:
-        """Update queued ranges on a helper thread as well, until ``close``."""
-        self._helper = threading.Thread(target=self._serve, name="adam-helper", daemon=True)
-        self._helper.start()
-
-    def close(self) -> None:
-        """Drop the queued ranges, then stop the helper and wait for it to end."""
-        with self._cond:
-            self._queue.clear()
-            self._closing = True
-            self._cond.notify_all()
-        if self._helper is not None:
-            self._helper.join()
-            self._helper = None
 
     def _hand_over(self, indices: list[int]) -> None:
         for i in indices:
@@ -143,36 +131,29 @@ class Adam:
                   for i in indices for lo in range(0, self.params[i][1].size, BLOCK)]
         for i in indices:
             self._handed[i] = True
-        with self._cond:
+        helper = active()
+        with self._lock:
             self._queue.extend(ranges)
-            self._cond.notify()
+            drain = helper is not None and not self._draining
+            self._draining = self._draining or drain
+        if drain:
+            self._drains.append(helper.submit(self._drain_front))
 
     def _take_last(self) -> tuple[int, int, int] | None:
-        """The range at the back of the queue; None once the queue is empty and
-        the helper idle."""
-        with self._cond:
-            while not self._queue and self._helper_busy:
-                self._cond.wait()
+        with self._lock:
             return self._queue.pop() if self._queue else None
 
-    def _serve(self) -> None:
-        """The helper's loop: update ranges from the front of the queue."""
-        scratch = self._scratch_pair()
+    def _drain_front(self) -> None:
+        """A job for the helper: update ranges from the front of the queue until it is empty."""
+        if self._helper_scratch is None:
+            self._helper_scratch = self._scratch_pair()
         while True:
-            with self._cond:
-                self._helper_busy = False
-                self._cond.notify_all()
-                while not self._queue and not self._closing:
-                    self._cond.wait()
-                if self._closing:
+            with self._lock:
+                if not self._queue:
+                    self._draining = False
                     return
                 item = self._queue.popleft()
-                self._helper_busy = True
-            try:
-                self._update(item, scratch)
-            except BaseException as exc:  # raised by step() on the calling thread
-                with self._cond:
-                    self._failed.append(exc)
+            self._update(item, self._helper_scratch)
 
     def _update(self, item: tuple[int, int, int],
                 scratch: tuple[np.ndarray, np.ndarray]) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 import ssfx
 import ssfx.cli as cli_module
-import ssfx.data as data_module
+import ssfx.nn.helper as helper_module
 from ssfx.cli import main
 from ssfx.io import read_feature_matrix, write_feature_vector, write_pgm
 from ssfx.nn import Checkpoint, load_checkpoint, save_checkpoint
@@ -31,9 +31,10 @@ def assert_environment(record):
     assert isinstance(env["blas"], str) and env["blas"]
     assert env["cpu_count"] == os.cpu_count()
     assert env["usable_cpus"] == len(os.sched_getaffinity(0)) >= 1
+    assert env["blas_threads"] == helper_module.blas_threads() >= 1
     assert env["thread_variables"] == {k: os.environ.get(k) for k in
-                                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                        "MKL_NUM_THREADS")}
+                                       ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def read_record(out_dir, command):
@@ -491,7 +492,7 @@ class TestExtract:
         for fmt in ("csv", "bin"):
             outputs = []
             for cpus in (1, 2):
-                monkeypatch.setattr(data_module.os, "sched_getaffinity",
+                monkeypatch.setattr(helper_module.os, "sched_getaffinity",
                                     lambda pid, n=cpus: set(range(n)))
                 out = tmp_path / f"{fmt}{cpus}"
                 assert main(["extract", "--manifest", manifest, "--format", fmt,
@@ -502,7 +503,7 @@ class TestExtract:
 
     def test_two_worker_extraction_lists_failures_in_input_order(self, large_dir, tmp_path,
                                                                  capsys, monkeypatch):
-        monkeypatch.setattr(data_module.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: {0, 1})
         corrupt_dir = tmp_path / "corrupt_set"
         shutil.copytree(large_dir, corrupt_dir)
         # Of the twelve entries after the first, 1-6 are the calling thread's

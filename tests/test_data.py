@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ssfx.data as data_module
+import ssfx.nn.helper as helper_module
 from ssfx.cli import main
 from ssfx.data import (
     TWO_WORKER_PIXELS,
@@ -406,7 +407,7 @@ SIDE = 256  # a 256x256 mask has exactly TWO_WORKER_PIXELS pixels
 
 
 def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(data_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture
@@ -552,9 +553,9 @@ class TestTwoWorkers:
         assert sorted(ran) == [0, 1, 4]
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
-        assert data_module.usable_cpus() == len(data_module.os.sched_getaffinity(0))
-        monkeypatch.delattr(data_module.os, "sched_getaffinity")
-        assert data_module.usable_cpus() == (data_module.os.cpu_count() or 1)
+        assert data_module.usable_cpus() == len(helper_module.os.sched_getaffinity(0))
+        monkeypatch.delattr(helper_module.os, "sched_getaffinity")
+        assert data_module.usable_cpus() == (helper_module.os.cpu_count() or 1)
 
     def test_results_keep_item_order(self, monkeypatch):
         usable_cpus(monkeypatch, 2)

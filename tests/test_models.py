@@ -1,13 +1,15 @@
 """Model builders, parameter accounting, checkpointing, and the training loop."""
 import hashlib
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import ssfx.data as data_module
-import ssfx.nn.optim as optim_module
+import ssfx.models as models_module
+import ssfx.nn.helper as helper_module
+import ssfx.nn.layers as layers_module
 from ssfx.data import LoadedDataset, shuffled_batches
 from ssfx.evaluation import evaluate, measure_complexity
 from ssfx.features import FeatureSubset
@@ -31,6 +33,8 @@ from ssfx.models import (
 )
 from ssfx.nn import (Adam, Checkpoint, CheckpointError, Sequential, Tensor, save_checkpoint,
                      softmax, softmax_cross_entropy)
+from ssfx.nn.helper import Helper, helper_scope
+from ssfx.nn.layers import SPLIT_MACS, Dense
 from ssfx.nn.optim import BLOCK
 
 
@@ -932,12 +936,12 @@ class TestForwardOnlyCallsKeepNothing:
 
 
 def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(data_module.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture
 def helpers_started(monkeypatch):
-    """Every thread Adam starts while the test runs."""
+    """Every thread started while the test runs."""
     started = []
 
     class Recorded(threading.Thread):
@@ -945,7 +949,8 @@ def helpers_started(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(optim_module.threading, "Thread", Recorded)
+    # The helper scope's executor starts its thread through ``threading.Thread``.
+    monkeypatch.setattr(threading, "Thread", Recorded)
     return started
 
 
@@ -1040,6 +1045,234 @@ class TestAdamHelper:
         assert len(helpers_started) == 1 and not helpers_started[0].is_alive()
 
 
+def bench_model(head, L=40):
+    """A model at the widths the benchmark trains, over L x 5 feature matrices."""
+    rng = np.random.default_rng(5)
+    if head == "fusion":
+        return build_fusion_classifier(FusionConfig(2048, 10), "cnn", FeatureSubset(), L, rng)
+    subset = FeatureSubset.parse("pc") if head == "pc1d" else FeatureSubset()
+    return build_semantic_classifier(head, subset, L, 10, rng)
+
+
+real_blas_threads = helper_module.blas_threads
+
+
+def split_products(monkeypatch):
+    """(multiply-adds, split or not) of every forward product sized while the test runs."""
+    products = []
+    real = layers_module._splitter
+
+    def splitter(macs):
+        helper = real(macs)
+        products.append((macs, helper is not None))
+        return helper
+
+    monkeypatch.setattr(layers_module, "_splitter", splitter)
+    return products
+
+
+class TestSplitForward:
+    """Inside ``train``'s helper scope on two CPUs, a forward product of at
+    least ``SPLIT_MACS`` multiply-adds runs in two halves, one per thread,
+    with the bytes of one CPU; a failure on either half leaves nothing behind."""
+
+    plan = TestStepBuffers.plan
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        # Scopes split as with one BLAS thread. OpenBLAS keeps the thread
+        # count it loaded with, which does not change a product's bits.
+        monkeypatch.setattr(helper_module, "blas_threads", lambda: 1)
+
+    # L is the number of categories: 37 for SUN RGB-D, 40 for NYU's 40
+    # classes, and 96 puts the cnn head's conv1 above the floor at batch 32
+    # (8.8M multiply-adds) and below it at batch 28.
+    @pytest.mark.parametrize("head, L", [(head, L) for L in (37, 40)
+                                         for head in ("cnn", "nn", "pc1d", "fusion")]
+                             + [("cnn", 96)])
+    def test_forward_gives_the_unsplit_bytes_on_one_and_two_cpus(self, head, L, monkeypatch):
+        model = bench_model(head, L)
+        products = split_products(monkeypatch)
+        rng = np.random.default_rng(3)
+        for batch in (32, 28, 4, 1):
+            ssf = rng.uniform(0, 1, (batch, L, 5))
+            g = rng.standard_normal((batch, 2048)) if head == "fusion" else None
+            whole = model.forward(ssf, g).tobytes()   # no scope: as evaluate and predict
+            for cpus in (1, 2):
+                usable_cpus(monkeypatch, cpus)
+                with helper_scope():
+                    assert model.forward(ssf, g).tobytes() == whole, (batch, cpus)
+        model.release()
+        # Products on both sides of the floor; only those above it split.
+        assert any(split for _, split in products)
+        assert all(macs >= SPLIT_MACS for macs, split in products if split)
+        assert any(macs < SPLIT_MACS for macs, _ in products)
+        if L == 96:
+            # conv1, the first product sized, splits at batch 32 and not at 28.
+            conv1 = products[0][0]
+            assert conv1 >= SPLIT_MACS and (conv1, True) in products
+            assert conv1 * 28 // 32 < SPLIT_MACS and (conv1 * 28 // 32, False) in products
+
+    @pytest.mark.parametrize("head", ["cnn", "nn", "pc1d", "step1", "step2"])
+    def test_train_splitting_every_product_gives_the_bytes_of_one_cpu(self, head, monkeypatch,
+                                                                      helpers_started):
+        # With no floor, every product of these small models that can split
+        # does, on one CPU as on two: in the steps, in the frozen branch's
+        # pass and in the test passes.
+        monkeypatch.setattr(layers_module, "SPLIT_MACS", 1)
+        data = toy_dataset(L=8, global_width=1200)
+        usable_cpus(monkeypatch, 1)
+        base = None
+        if head == "step2":
+            base, _ = train(self.plan("step1_global"), data, TestAdamHelper.build("step1"))
+        stage = {"step1": "step1_global", "step2": "step2_fusion"}.get(head, "semantic_only")
+        frozen = TestAdamHelper.build(head, base).global_param_names() if head == "step2" else ()
+        products = split_products(monkeypatch)
+        states = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            del helpers_started[:], products[:]
+            model = TestAdamHelper.build(head, base)
+            ckpt, metrics = train(self.plan(stage, frozen=frozen), data, model)
+            assert len(helpers_started) == cpus - 1
+            assert not any(t.is_alive() for t in helpers_started)
+            assert products and all(split for _, split in products)
+            states[cpus] = ([m["loss"] for m in metrics],
+                            {name: arr.tobytes() for name, arr in model.state_arrays().items()})
+        assert states[1] == states[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflow_on_the_helpers_half_raises_under_errstate(self, cpus, monkeypatch):
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(layers_module, "SPLIT_MACS", 1)
+        layer = Dense(4, 32)
+        layer.weight.data[:] = 1.0
+        layer.weight.data[16:, 0] = 1e300   # the helper's half: output features 16-31
+        x, y = np.full((2, 4), 1e300), np.random.default_rng(0).standard_normal((2, 4))
+        products = split_products(monkeypatch)
+        with helper_scope():
+            before = layer.forward(y).tobytes()
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    layer.forward(x)
+            # The next split call gives the bytes a clean one gave.
+            assert layer.forward(y).tobytes() == before
+        assert [split for _, split in products] == [True] * 3
+        with np.errstate(over="ignore"):
+            assert np.isinf(layer.forward(x)[:, 16:]).all()
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_a_failed_half_in_the_test_pass_leaves_nothing_behind(self, where, monkeypatch,
+                                                                  helpers_started):
+        # Once the test pass begins, the first split product fails on one half
+        # while the other half sleeps; the sleeper is collected before train raises.
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(layers_module, "SPLIT_MACS", 1)
+        data = toy_dataset(L=8)
+        model = TestAdamHelper.build("cnn")
+        testing, finished = [], threading.Event()
+        real_score = models_module.score_split
+        real_split = Helper.split
+
+        def score_split(*args):
+            testing.append(1)
+            return real_score(*args)
+
+        def fail():
+            raise (KeyboardInterrupt if where == "caller" else MemoryError)("half failed")
+
+        def sleep_then_finish(half):
+            def run():
+                time.sleep(0.2)
+                half()
+                finished.set()
+            return run
+
+        def split(helper, first, second):
+            if testing and not finished.is_set() and len(testing) == 1:
+                testing.append(1)
+                if where == "caller":
+                    first, second = fail, sleep_then_finish(second)
+                else:
+                    first, second = sleep_then_finish(first), fail
+            return real_split(helper, first, second)
+
+        monkeypatch.setattr(models_module, "score_split", score_split)
+        monkeypatch.setattr(Helper, "split", split)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt if where == "caller" else MemoryError,
+                           match="half failed"):
+            train(self.plan(), data, model)
+        assert finished.is_set()
+        assert threading.active_count() == before
+        assert len(helpers_started) == 1 and not helpers_started[0].is_alive()
+        assert held_buffers(model) == []
+        # The next split calls give the bytes of one CPU.
+        monkeypatch.setattr(Helper, "split", real_split)
+        out = {}
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            with helper_scope():
+                out[cpus] = model.forward(data.ssf[:8]).tobytes()
+        assert out[1] == out[2]
+        model.release()
+
+    def test_split_collects_the_helpers_half_before_raising(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        finished = threading.Event()
+
+        def slow_half():
+            time.sleep(0.2)
+            finished.set()
+
+        with helper_scope() as helper:
+            with pytest.raises(KeyError, match="first half"):
+                helper.split(lambda: {}["first half"], slow_half)
+            assert finished.is_set()
+
+    def test_dense_split_at_a_multiple_of_8_features_keeps_the_unsplit_bytes(self, monkeypatch):
+        # Split at half the width instead, the first three differ on one BLAS thread.
+        usable_cpus(monkeypatch, 2)
+        rng = np.random.default_rng(0)
+        products = split_products(monkeypatch)
+        for batch, n_in, n_out in [(32, 1000, 1000), (32, 2000, 600), (32, 12800, 1000),
+                                   (4, 4000, 1000)]:
+            layer = Dense(n_in, n_out, rng=rng)
+            x = rng.standard_normal((batch, n_in))
+            whole = layer.forward(x).tobytes()
+            with helper_scope():
+                assert layer.forward(x).tobytes() == whole, (batch, n_in, n_out)
+        assert [split for _, split in products] == [False, True] * 4
+
+    @pytest.mark.parametrize("blas", ["2", None])
+    def test_a_blas_on_more_threads_splits_nothing(self, blas, monkeypatch, helpers_started):
+        # OpenBLAS runs one thread per usable CPU when no variable says otherwise.
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(helper_module, "blas_threads", real_blas_threads)
+        for name in helper_module.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        if blas is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        monkeypatch.setattr(layers_module, "SPLIT_MACS", 1)
+        products = split_products(monkeypatch)
+        train(self.plan(), toy_dataset(L=8), TestAdamHelper.build("cnn"))
+        assert products and not any(split for _, split in products)
+        assert len(helpers_started) == 1   # Adam's updates still run on it
+
+    def test_evaluate_predict_and_measure_complexity_start_no_thread(self, monkeypatch,
+                                                                     helpers_started):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(layers_module, "SPLIT_MACS", 1)
+        data = toy_dataset(L=8)
+        model = TestAdamHelper.build("cnn")
+        products = split_products(monkeypatch)
+        evaluate(model, data, "test")
+        predict(model, data.ssf[0])
+        measure_complexity(model, iterations=1000, warmup=0)
+        assert helpers_started == []
+        assert products and not any(split for _, split in products)
+
+
 def model_layers(model):
     """Every layer of the model, named ``branch/layer`` or ``trunk/layer``."""
     chains = [(b.name, b.layers) for b in model.branches] + [("trunk", model.trunk)]
@@ -1084,7 +1317,6 @@ class TestFrozenBranchRunsOnce:
                 total += loss * len(sel)
             losses += [total / len(data.train_idx),
                        score_split(model, data, data.test_idx, plan.batch_size)[0]]
-        opt.close()
         model.release()
         return losses
 

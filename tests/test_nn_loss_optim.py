@@ -1,4 +1,5 @@
 """Loss and optimizer behavior against frozen values and scalar simulations."""
+import contextvars
 import math
 import sys
 import threading
@@ -8,11 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ssfx.nn.helper as helper_module
 import ssfx.nn.optim as optim_module
 from ssfx.features import FeatureSubset
 from ssfx.mask import ValidationError
 from ssfx.models import build_semantic_classifier
 from ssfx.nn import Adam, Tensor, softmax, softmax_cross_entropy
+from ssfx.nn.helper import helper_scope
 from ssfx.nn.optim import BLOCK
 
 from oracles import max_rel_err, numeric_grad
@@ -62,6 +65,30 @@ class TestSoftmaxCrossEntropy:
     def test_label_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="does not match batch"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+
+def cpus_scope(monkeypatch, cpus):
+    """A ``helper_scope`` opened as in a process that may use ``cpus`` CPUs."""
+    monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return helper_scope()
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("env, expected", [
+        ({}, 3),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": " 5,2"}, 5),
+    ])
+    def test_variables_are_read_as_openblas_reads_them(self, env, expected, monkeypatch):
+        monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for name in helper_module.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert helper_module.blas_threads() == expected
 
 
 class TestAdam:
@@ -193,23 +220,21 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, np.ones(3))
         assert opt.step_count == 0
 
-    def test_step_without_a_gradient_is_refused_with_the_helper_running(self):
+    def test_step_without_a_gradient_is_refused_with_the_helper_running(self, monkeypatch):
         p, q = Tensor(np.ones(3)), Tensor(np.ones(2))
         opt = Adam([("p", p), ("q", q)], learning_rate=0.01)
         before = threading.active_count()
-        opt.start_helper()
         p.grad = np.ones(3)
-        try:
+        with cpus_scope(monkeypatch, 2):
             with pytest.raises(ValidationError, match="parameter 'q' has no gradient"):
                 opt.step()
-        finally:
-            opt.close()
         np.testing.assert_array_equal(p.data, np.ones(3))
         assert opt.step_count == 0
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("helper", [False, True], ids=["alone", "helper"])
-    def test_parameters_handed_over_in_any_order_get_the_bits_of_step(self, helper):
+    def test_parameters_handed_over_in_any_order_get_the_bits_of_step(self, helper,
+                                                                      monkeypatch):
         rng = np.random.default_rng(4)
         sizes = (2 * BLOCK + 5, 7, BLOCK, 1, 3 * BLOCK)
         init = [rng.standard_normal(n) for n in sizes]
@@ -219,26 +244,24 @@ class TestAdam:
                    weight_decay=5e-4)
         ref_opt = Adam([(f"p{i}", t) for i, t in enumerate(ref)], learning_rate=1e-2,
                        weight_decay=5e-4)
-        if helper:
-            opt.start_helper()
         # Switch threads as often as the interpreter can, to shake out races.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for step in range(5):
-                for a, b in zip(ours, ref):
-                    a.grad = rng.standard_normal(a.size)
-                    b.grad = a.grad.copy()
-                # Some parameters, in a random order, and a tensor Adam does not own.
-                for i in rng.permutation(len(ours))[: step]:
-                    opt.ready(ours[i])
-                opt.ready(Tensor(np.ones(4)))
-                opt.step()
-                ref_opt.step()
-                assert [t.data.tobytes() for t in ours] == [t.data.tobytes() for t in ref]
+            with cpus_scope(monkeypatch, 2 if helper else 1):
+                for step in range(5):
+                    for a, b in zip(ours, ref):
+                        a.grad = rng.standard_normal(a.size)
+                        b.grad = a.grad.copy()
+                    # Some parameters, in a random order, and a tensor Adam does not own.
+                    for i in rng.permutation(len(ours))[: step]:
+                        opt.ready(ours[i])
+                    opt.ready(Tensor(np.ones(4)))
+                    opt.step()
+                    contextvars.Context().run(ref_opt.step)  # outside the scope: no helper
+                    assert [t.data.tobytes() for t in ours] == [t.data.tobytes() for t in ref]
         finally:
             sys.setswitchinterval(interval)
-            opt.close()
         assert opt.step_count == ref_opt.step_count == 5
 
     def test_error_on_the_helper_is_raised_by_step(self, monkeypatch):
@@ -263,13 +286,10 @@ class TestAdam:
 
         monkeypatch.setattr(optim_module, "_flat", flat)
         before = threading.active_count()
-        opt.start_helper()
-        try:
+        with cpus_scope(monkeypatch, 2):
             opt.ready(p)
             with pytest.raises(ValidationError, match="parameter 'p': Adam updates C-contiguous"):
                 opt.step()
-        finally:
-            opt.close()
         assert helper_failed.is_set()
         assert threading.active_count() == before
 
@@ -290,15 +310,12 @@ class TestAdam:
             return real_flat(name, arr)
 
         monkeypatch.setattr(optim_module, "_flat", flat)
-        opt.start_helper()
-        try:
+        with cpus_scope(monkeypatch, 2):
             opt.ready(good)
             with pytest.raises(ValidationError, match="parameter 'bad'"):
                 opt.step()
             # The helper's range of ``good`` was done before step() raised.
             assert (good.data < 1).all()
-        finally:
-            opt.close()
 
     def test_step_allocates_nothing_in_proportion_to_the_parameter(self):
         p = Tensor(np.random.default_rng(0).standard_normal(2**22))
