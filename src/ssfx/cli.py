@@ -32,7 +32,6 @@ from .data import (
     load_manifest,
     map_masks,
     split_information_spec,
-    usable_cpus,
 )
 from .evaluation import (
     evaluate,
@@ -55,7 +54,7 @@ from .models import (
     train,
 )
 from .nn import CheckpointError, CorruptedGradients, grad_check, load_checkpoint, save_checkpoint
-from .nn.helper import blas_threads
+from .nn.helper import blas_threads, usable_cpus
 
 _STAGE_NAMES = {"semantic": "semantic_only", "step1": "step1_global", "step2": "step2_fusion"}
 
@@ -203,6 +202,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     for raw in args.masks:
         path = Path(raw)
         jobs.append((path.stem, path, args.num_categories, void))
+    suffix = ".csv" if args.format == "csv" else ".ssff"
+    sources: dict[str, Path] = {}
+    for stem, path, _, _ in jobs:
+        if stem in sources:  # refused before any file is written
+            raise ValidationError(f"two inputs have the stem {stem!r}, {sources[stem]} and "
+                                  f"{path}: both would be written to {stem}{suffix}")
+        sources[stem] = path
 
     def run_one(job: tuple[str, Path, int, int | None]) -> tuple[tuple[str, str | None], int]:
         stem, path, L, void_value = job
@@ -210,9 +216,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             mask = load_mask(path, L, void_value)
             matrix = extract_ssf(mask)
             if args.format == "csv":
-                write_feature_csv(args.out / f"{stem}.csv", matrix)
+                write_feature_csv(args.out / f"{stem}{suffix}", matrix)
             else:
-                write_feature_matrix(args.out / f"{stem}.ssff", matrix.values)
+                write_feature_matrix(args.out / f"{stem}{suffix}", matrix.values)
             return (stem, None), mask.data.size
         except (ValidationError, FormatError, FileNotFoundError, OSError) as exc:
             return (stem, str(exc)), 0

@@ -26,7 +26,7 @@ import numpy as np
 from .features import COLUMNS, extract_ssf
 from .io import load_mask, read_feature_vector, save_mask, write_feature_vector
 from .mask import SegmentationMask, ValidationError
-from .nn.helper import usable_cpus
+from .nn.helper import helper_scope, usable_cpus
 
 __all__ = [
     "ManifestEntry",
@@ -39,7 +39,6 @@ __all__ = [
     "save_manifest",
     "load_dataset",
     "map_masks",
-    "usable_cpus",
     "ordered_batches",
     "shuffled_batches",
     "benchmark_spec",
@@ -201,32 +200,27 @@ def map_masks(work, items: list) -> list:
     """``[work(item)[0] for item in items]``; ``work(item)[1]`` is the pixel count of its mask.
 
     When the first mask has at least ``TWO_WORKER_PIXELS`` pixels and the process may use two
-    CPUs, a helper thread does the second half of the other items. The error raised is the
-    earliest failing item's, as on one thread.
+    CPUs, the thread of a ``nn.helper.helper_scope`` does the second half of the other items,
+    in the caller's context (``Helper.split``). The error raised is the earliest failing
+    item's, as on one thread.
     """
     first, pixels = work(items[0])
     rest, mid = items[1:], len(items) // 2
     if pixels < TWO_WORKER_PIXELS or len(rest) < 2 or usable_cpus() < 2:
         return [first] + [work(item)[0] for item in rest]
-    second, failed, stop = [], [], threading.Event()  # stop: the first half failed
+    results, second, stop = [first], [], threading.Event()  # stop: the first half failed
 
-    def run_second_half() -> None:
+    def run_first_half() -> None:
         try:
-            second.extend(work(item)[0] for item in rest[mid:] if not stop.is_set())
-        except BaseException as exc:  # raised by the calling thread after its own half
-            failed.append(exc)
+            results.extend(work(item)[0] for item in rest[:mid])
+        except BaseException:
+            stop.set()
+            raise
 
-    helper = threading.Thread(target=run_second_half)
-    helper.start()
-    try:
-        results = [first] + [work(item)[0] for item in rest[:mid]]
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
+    with helper_scope() as helper:
+        helper.split(run_first_half,
+                     lambda: second.extend(work(item)[0] for item in rest[mid:]
+                                           if not stop.is_set()))
     return results + second
 
 

@@ -575,7 +575,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     pass. The checkpoint's ``final_metrics`` keep only loss and accuracy.
 
     The call runs inside one ``nn.helper.helper_scope``: when the process
-    may use two CPUs (``usable_cpus``, as for ``map_masks``), a helper
+    may use two CPUs (``usable_cpus``), a helper
     thread lives for the call, and on every exit it is joined before the
     gradient arrays are released. It computes half of every large forward
     product of the steps, of the frozen branch's pass and of the test

@@ -1,16 +1,25 @@
-"""The CPUs this process may use, and the one helper thread of a training call.
+"""The CPUs this process may use, and the one helper thread that works on
+the second of them.
 
-``models.train`` opens a ``helper_scope`` for the whole call. When the
-process may use two CPUs or more, the scope starts one thread; on one CPU
-it starts none, and its helper runs each job on the calling thread as the
-job is given. Two kinds of job run on the helper, one at a time and in the
+Two callers open a ``helper_scope``: ``models.train`` for the whole call,
+and ``data.map_masks`` around the two halves of a list of large masks.
+When the process may use two CPUs or more, the scope starts one thread; on
+one CPU it starts none, and its helper runs each job on the calling thread
+as the job is given. The jobs run on the helper one at a time and in the
 order they were given:
 
+- the second half of the masks of ``data.map_masks``, given with
+  ``Helper.split`` while the calling thread reads the first half;
 - the second half of a large forward product, which ``layers.Dense`` and
   ``layers.Conv2D`` hand over with ``Helper.split`` while the calling
   thread computes the first half;
 - Adam's updates from the front of its queue during backward
   (``optim.Adam``).
+
+A job must never split on the helper that runs it: its second half would
+wait in the queue behind the job itself, and the job would wait for it
+for ever. A job runs in a copy of the giver's context, where ``active()``
+is that same helper, so code that may split opens a scope of its own.
 
 Forward products split only when the BLAS runs one thread
 (``blas_threads``). A BLAS running more already spreads a large product

@@ -19,12 +19,14 @@ does right after each layer's backward returns: its block ranges join a
 queue. ``step()`` hands over every parameter not yet handed, then the
 calling thread updates ranges from the back of the queue until it is empty.
 Inside a ``helper.helper_scope`` that started a thread, each hand-over also
-gives the helper a job, unless one is under way, that updates ranges from
-the front until the queue is empty; so on two CPUs the update of a layer
-runs while the calling thread computes the backward of the layers below it.
+gives the helper a job that updates ranges from the front until the queue
+is empty; so on two CPUs the update of a layer runs while the calling
+thread computes the backward of the layers below it. The helper runs its
+jobs one at a time and in order, and a job that finds the queue empty
+just returns.
 ``step()`` returns once the queue is empty and the helper's jobs have
-ended. If an error cuts a step short before ``step()``, the helper's job
-drains the queue and ends before the scope joins the helper. The bits
+ended. If an error cuts a step short before ``step()``, the helper's jobs
+drain the queue and end before the scope joins the helper. The bits
 cannot depend on which thread took a range or when: the rule is
 elementwise, the bias corrections are fixed when the step's first range is
 queued, each thread has its own scratch pair, and no range is queued before
@@ -80,11 +82,9 @@ class Adam:
         self._corrections: tuple[float, float] | None = None  # of the step under way
         self._helper_scratch: tuple[np.ndarray, np.ndarray] | None = None
         # Shared with the helper, under ``_lock``: the queue of (parameter, lo, hi)
-        # ranges, and whether a job of the helper's is draining it. ``_drains``
-        # holds the jobs given in the step under way.
+        # ranges. ``_drains`` holds the jobs given in the step under way.
         self._lock = threading.Lock()
         self._queue: deque[tuple[int, int, int]] = deque()
-        self._draining = False
         self._drains: list[Future] = []
 
     def _scratch_pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +112,6 @@ class Adam:
                 self._queue.clear()
             failed = [e for e in map(collect, self._drains) if e is not None]
             self._drains = []
-            self._draining = False
             self._handed = [False] * len(self.params)
             self._corrections = None
         if failed:
@@ -134,9 +133,7 @@ class Adam:
         helper = active()
         with self._lock:
             self._queue.extend(ranges)
-            drain = helper is not None and not self._draining
-            self._draining = self._draining or drain
-        if drain:
+        if helper is not None:
             self._drains.append(helper.submit(self._drain_front))
 
     def _take_last(self) -> tuple[int, int, int] | None:
@@ -150,7 +147,6 @@ class Adam:
         while True:
             with self._lock:
                 if not self._queue:
-                    self._draining = False
                     return
                 item = self._queue.popleft()
             self._update(item, self._helper_scratch)

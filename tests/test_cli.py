@@ -18,6 +18,8 @@ from ssfx.cli import main
 from ssfx.io import read_feature_matrix, write_feature_vector, write_pgm
 from ssfx.nn import Checkpoint, load_checkpoint, save_checkpoint
 
+from conftest import usable_cpus
+
 
 def make_pgm(path, h=8, w=8, categories=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -460,6 +462,24 @@ class TestExtract:
         assert main(["extract", str(p), "--L", "4", "--out", str(out2)]) == 0
         assert (out1 / "m.csv").read_bytes() == (out2 / "m.csv").read_bytes()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_inputs_with_one_stem_are_refused(self, tmp_path, capsys, monkeypatch, cpus):
+        # On two CPUs a/m.pgm and b/m.pgm fall in different halves.
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr("ssfx.data.TWO_WORKER_PIXELS", 1)
+        paths = []
+        for rel in ("c/first.pgm", "a/m.pgm", "e/other.pgm", "b/m.pgm"):
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            make_pgm(tmp_path / rel, categories=4, seed=len(paths))
+            paths.append(str(tmp_path / rel))
+        out = tmp_path / "features"
+        assert main(["extract", *paths, "--L", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: two inputs have the stem 'm', {paths[1]} and "
+                                f"{paths[3]}: both would be written to m.csv\n")
+        assert [p.name for p in out.iterdir()] == ["run_record.json"]
+
     def test_binary_format_round_trips(self, tmp_path):
         p = tmp_path / "m.pgm"
         make_pgm(p, categories=4, seed=1)
@@ -492,8 +512,7 @@ class TestExtract:
         for fmt in ("csv", "bin"):
             outputs = []
             for cpus in (1, 2):
-                monkeypatch.setattr(helper_module.os, "sched_getaffinity",
-                                    lambda pid, n=cpus: set(range(n)))
+                usable_cpus(monkeypatch, cpus)
                 out = tmp_path / f"{fmt}{cpus}"
                 assert main(["extract", "--manifest", manifest, "--format", fmt,
                              "--out", str(out)]) == 0
@@ -503,7 +522,7 @@ class TestExtract:
 
     def test_two_worker_extraction_lists_failures_in_input_order(self, large_dir, tmp_path,
                                                                  capsys, monkeypatch):
-        monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: {0, 1})
+        usable_cpus(monkeypatch, 2)
         corrupt_dir = tmp_path / "corrupt_set"
         shutil.copytree(large_dir, corrupt_dir)
         # Of the twelve entries after the first, 1-6 are the calling thread's

@@ -34,6 +34,8 @@ from ssfx.features import extract_ssf
 from ssfx.io import FormatError, load_mask, save_mask, write_feature_vector
 from ssfx.mask import ValidationError
 
+from conftest import usable_cpus
+
 
 def tiny_spec(**overrides):
     defaults = dict(
@@ -406,24 +408,6 @@ class TestRecipeTargets:
 SIDE = 256  # a 256x256 mask has exactly TWO_WORKER_PIXELS pixels
 
 
-def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def helpers_started(monkeypatch):
-    """Every thread started while the test runs."""
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(data_module.threading, "Thread", Recorded)
-    return started
-
-
 def large_manifest(root, n=7, side=SIDE):
     """``n`` masks of ``side`` x ``side``, PGM and SSFM in turn, with global vectors."""
     rng = np.random.default_rng(5)
@@ -456,8 +440,10 @@ class TestTwoWorkers:
         one = load_dataset(manifest)
         assert helpers_started == []
         usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
         two = load_dataset(manifest)
         assert len(helpers_started) == 1 and not helpers_started[0].is_alive()
+        assert threading.active_count() == before
         for name in ("ssf", "global_vecs", "labels", "train_idx", "test_idx"):
             a, b = getattr(one, name), getattr(two, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -531,8 +517,15 @@ class TestTwoWorkers:
         assert record["exit_code"] == 1 and record["error"] == err.rstrip("\n")
 
     def test_helper_stops_once_the_first_half_fails(self, monkeypatch):
-        # Items 1-3 are the calling thread's, 4-6 the helper's. Item 1 fails
-        # while the helper is inside item 4; the helper starts no other item.
+        self.check_helper_stops(monkeypatch, KeyError)
+
+    def test_helper_stops_once_the_first_half_is_interrupted(self, monkeypatch):
+        self.check_helper_stops(monkeypatch, KeyboardInterrupt)
+
+    @staticmethod
+    def check_helper_stops(monkeypatch, error):
+        # Items 1-3 are the calling thread's, 4-6 the helper's. Item 1 raises
+        # ``error`` while the helper is inside item 4; the helper starts no other item.
         ran, inside = [], threading.Event()
 
         def work(item):
@@ -542,20 +535,30 @@ class TestTwoWorkers:
                 time.sleep(0.2)
             if item == 1:
                 assert inside.wait(10)
-                raise KeyError("item 1")
+                raise error("item 1")
             return item, TWO_WORKER_PIXELS
 
         usable_cpus(monkeypatch, 2)
         before = threading.active_count()
-        with pytest.raises(KeyError, match="item 1"):
+        with pytest.raises(error, match="item 1"):
             map_masks(work, list(range(7)))
         assert threading.active_count() == before
         assert sorted(ran) == [0, 1, 4]
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_errstate_holds_on_both_halves(self, monkeypatch, cpus):
+        # Item 5 is in the helper's half on two CPUs.
+        def work(item):
+            return np.float64(1.0) / np.float64(item != 5), TWO_WORKER_PIXELS
+
+        usable_cpus(monkeypatch, cpus)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            map_masks(work, list(range(7)))
+
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
-        assert data_module.usable_cpus() == len(helper_module.os.sched_getaffinity(0))
+        assert helper_module.usable_cpus() == len(helper_module.os.sched_getaffinity(0))
         monkeypatch.delattr(helper_module.os, "sched_getaffinity")
-        assert data_module.usable_cpus() == (helper_module.os.cpu_count() or 1)
+        assert helper_module.usable_cpus() == (helper_module.os.cpu_count() or 1)
 
     def test_results_keep_item_order(self, monkeypatch):
         usable_cpus(monkeypatch, 2)

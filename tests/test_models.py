@@ -37,6 +37,8 @@ from ssfx.nn.helper import Helper, helper_scope
 from ssfx.nn.layers import SPLIT_MACS, Dense
 from ssfx.nn.optim import BLOCK
 
+from conftest import usable_cpus
+
 
 def toy_dataset(n_per_class=20, L=4, classes=2, global_width=None, seed=0):
     """Linearly separable in-memory feature set; class shifts the mean level."""
@@ -933,25 +935,6 @@ class TestForwardOnlyCallsKeepNothing:
         assert report.total == 96
         assert current - before < 2**20, current - before
         assert peak - before < 2 * workspace, (peak - before, workspace)
-
-
-def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def helpers_started(monkeypatch):
-    """Every thread started while the test runs."""
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    # The helper scope's executor starts its thread through ``threading.Thread``.
-    monkeypatch.setattr(threading, "Thread", Recorded)
-    return started
 
 
 class TestAdamHelper:

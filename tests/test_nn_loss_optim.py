@@ -18,6 +18,7 @@ from ssfx.nn import Adam, Tensor, softmax, softmax_cross_entropy
 from ssfx.nn.helper import helper_scope
 from ssfx.nn.optim import BLOCK
 
+from conftest import usable_cpus
 from oracles import max_rel_err, numeric_grad
 
 
@@ -69,7 +70,7 @@ class TestSoftmaxCrossEntropy:
 
 def cpus_scope(monkeypatch, cpus):
     """A ``helper_scope`` opened as in a process that may use ``cpus`` CPUs."""
-    monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    usable_cpus(monkeypatch, cpus)
     return helper_scope()
 
 
@@ -83,7 +84,7 @@ class TestBlasThreads:
         ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": " 5,2"}, 5),
     ])
     def test_variables_are_read_as_openblas_reads_them(self, env, expected, monkeypatch):
-        monkeypatch.setattr(helper_module.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        usable_cpus(monkeypatch, 3)
         for name in helper_module.BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
