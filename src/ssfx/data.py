@@ -201,8 +201,8 @@ def map_masks(work, items: list) -> list:
 
     When the first mask has at least ``TWO_WORKER_PIXELS`` pixels and the process may use two
     CPUs, the thread of a ``nn.helper.helper_scope`` does the second half of the other items,
-    in the caller's context (``Helper.split``). The error raised is the earliest failing
-    item's, as on one thread.
+    in a copy of the caller's context (``Helper.split``). The error raised is the earliest
+    failing item's, as on one thread.
     """
     first, pixels = work(items[0])
     rest, mid = items[1:], len(items) // 2

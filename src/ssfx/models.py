@@ -236,26 +236,12 @@ class Model:
             outs.append(b.layers.forward(np.asarray(inputs[b.input], dtype=np.float64)))
         return self.trunk.forward(outs[0] if len(outs) == 1 else fuse_concat(*outs))
 
-    def backward(self, grad_logits: np.ndarray, frozen: set[str] | tuple[str, ...] = (),
-                 on_ready=None) -> None:
+    def backward(self, grad_logits: np.ndarray, frozen: set[str] | tuple[str, ...] = ()) -> None:
         """Backpropagate through the trunk, then through each branch not wholly in ``frozen``
-        down to its first parameterised layer, which computes no gradient for the data.
-
-        ``on_ready``, if given, is called with each of a layer's parameter
-        tensors right after that layer's backward returns: no later layer reads
-        them or writes their gradients, so ``train`` passes ``Adam.ready`` and
-        each update can start while the layers below are still being walked.
-        """
-        def walk(layer, grad, **kwargs):
-            grad = layer.backward(grad, **kwargs)
-            if on_ready is not None:
-                for _, tensor in layer.params():
-                    on_ready(tensor)
-            return grad
-
+        down to its first parameterised layer, which computes no gradient for the data."""
         grad = grad_logits
         for _, layer in reversed(self.trunk.layers):
-            grad = walk(layer, grad)
+            grad = layer.backward(grad)
         start = 0
         for b in self.branches:
             g, start = grad[:, start : start + b.width], start + b.width
@@ -264,8 +250,8 @@ class Model:
             layers = [layer for _, layer in b.layers.layers]
             first = next(i for i, layer in enumerate(layers) if layer.params())
             for layer in reversed(layers[first + 1 :]):
-                g = walk(layer, g)
-            walk(layers[first], g, input_grad=False)
+                g = layer.backward(g)
+            layers[first].backward(g, input_grad=False)
 
     def descriptor(self) -> dict:
         d = {"model": self.kind, **self._desc}
@@ -575,16 +561,15 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     pass. The checkpoint's ``final_metrics`` keep only loss and accuracy.
 
     The call runs inside one ``nn.helper.helper_scope``: when the process
-    may use two CPUs (``usable_cpus``), a helper
-    thread lives for the call, and on every exit it is joined before the
-    gradient arrays are released. It computes half of every large forward
-    product of the steps, of the frozen branch's pass and of the test
-    passes (``nn.layers``), and runs a step's Adam updates while the
-    calling thread goes on with backward: ``Model.backward`` hands each
-    parameter to ``Adam.ready`` as soon as its gradient is final, and both
-    threads finish what is left in ``Adam.step``. On one CPU the calling
+    may use two CPUs (``usable_cpus``), a helper thread lives for the call,
+    and on every exit it is joined before the gradient arrays are released.
+    Each time the calling thread splits work with ``Helper.split``, the
+    helper runs the other half: of every large forward product of the
+    steps, of the frozen branch's pass and of the test passes, of every
+    large backward's two products (``nn.layers``), and of each step's Adam
+    updates (``nn.optim``), which run after backward. On one CPU the calling
     thread does all of it. The parameters get the same bits either way (see
-    ``nn.helper`` and ``nn.optim``).
+    ``nn.helper``).
 
     A branch whose parameters are all frozen (step 2's ``global_fc1``) runs
     once, over every sample in batches of ``plan.batch_size``, before the
@@ -643,7 +628,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                     if not np.isfinite(loss):
                         raise ArithmeticError(f"training diverged: loss {loss} at epoch {epoch}, "
                                               f"batch {batch}")
-                    model.backward(grad, frozen, opt.ready)
+                    model.backward(grad, frozen)
                     opt.step()
                     epoch_loss += loss * len(labels)
                     correct += int((np.argmax(logits, axis=1) == labels).sum())

@@ -4,41 +4,41 @@ the second of them.
 Two callers open a ``helper_scope``: ``models.train`` for the whole call,
 and ``data.map_masks`` around the two halves of a list of large masks.
 When the process may use two CPUs or more, the scope starts one thread; on
-one CPU it starts none, and its helper runs each job on the calling thread
-as the job is given. The jobs run on the helper one at a time and in the
-order they were given:
+one CPU it starts none. Its one primitive is ``Helper.split``: the calling
+thread runs one half of a job while the helper runs the other (on one CPU,
+the calling thread runs the helper's half first), and the call returns
+once both have ended. Its callers:
 
-- the second half of the masks of ``data.map_masks``, given with
-  ``Helper.split`` while the calling thread reads the first half;
-- the second half of a large forward product, which ``layers.Dense`` and
-  ``layers.Conv2D`` hand over with ``Helper.split`` while the calling
-  thread computes the first half;
-- Adam's updates from the front of its queue during backward
-  (``optim.Adam``).
+- ``data.map_masks``: the two halves of its masks;
+- ``layers.Dense`` and ``layers.Conv2D``: the two halves of a large
+  forward product, and in backward the input gradient and the weight
+  gradient, each a whole product of its own;
+- ``optim.Adam.step``: two halves of the parameters' block ranges.
 
-A job must never split on the helper that runs it: its second half would
-wait in the queue behind the job itself, and the job would wait for it
-for ever. A job runs in a copy of the giver's context, where ``active()``
-is that same helper, so code that may split opens a scope of its own.
+A half given to the helper runs in a copy of the giver's context where
+``active()`` is None, so code inside it that may split runs whole instead
+of waiting for ever on a half queued behind itself; and it runs the same
+way on one CPU, so the bits cannot depend on the CPU count. The copy keeps
+every other context variable, so a numpy ``errstate`` (a context variable
+in numpy 2) holds on the helper as well; a new thread would start at
+numpy's default.
 
-Forward products split only when the BLAS runs one thread
-(``blas_threads``). A BLAS running more already spreads a large product
-over the CPUs, and two of its calls at once wait for each other: with the
-default two OpenBLAS threads on a 2-vCPU VM, splitting made the ablation
-acceptance run take 125 s instead of 67 s. At a given BLAS thread count a
-product is cut in the same two halves whether one CPU runs them or two, so
-the bits cannot depend on the CPU count: OpenBLAS does not always give a
-half the bits the whole product would (see ``layers.Dense``). Code outside
-a scope (``evaluate``, ``predict``, ``measure_complexity``) sees no
-helper, as ``active()`` is None, and runs each product whole on its own
-thread. So does a thread other than the one that opened the scope, as a
-new thread starts with an empty context.
+Products split only when the BLAS runs one thread (``blas_threads``). A
+BLAS running more already spreads a large product over the CPUs, and two
+of its calls at once wait for each other: with the default two OpenBLAS
+threads on a 2-vCPU VM, splitting made the ablation acceptance run take
+125 s instead of 67 s. At a given BLAS thread count a product is cut in
+the same two halves whether one CPU runs them or two, so the bits cannot
+depend on the CPU count: OpenBLAS does not always give a half the bits the
+whole product would (see ``layers.Dense``). Code outside a scope
+(``evaluate``, ``predict``, ``measure_complexity``) sees no helper, as
+``active()`` is None, and runs each product whole on its own thread. So
+does a thread other than the one that opened the scope, as a new thread
+starts with an empty context.
 
-Each job runs in a copy of the context of the thread that gave it, so a
-numpy ``errstate`` (a context variable in numpy 2) holds on the helper as
-well; a new thread would start at numpy's default. Whoever gives a job
-collects it (``collect``) before returning or raising, so no job
-outlives the call that gave it, and the scope joins the thread on every exit.
+``split`` waits for the helper's half before it returns or raises, so no
+half outlives the call that gave it, and the scope joins the thread on
+every exit.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ import re
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 
-__all__ = ["usable_cpus", "blas_threads", "collect", "Helper", "helper_scope", "active"]
+__all__ = ["usable_cpus", "blas_threads", "Helper", "helper_scope", "active"]
 
 
 def usable_cpus() -> int:
@@ -94,49 +94,40 @@ def _through_interrupts(wait) -> None:
         raise pending
 
 
-def collect(job: Future) -> BaseException | None:
-    """Wait for a job given to a helper to end; the error it raised, or None."""
-    _through_interrupts(job.exception)
-    return job.exception()
-
-
 class Helper:
-    """A thread that runs the jobs it is given, one at a time and in order,
-    until ``close``. Made with ``threaded=False`` it has no thread and runs
-    each job as it is given. ``splits`` says whether forward products are to
-    be split on it."""
+    """A thread that runs the second halves of ``split``, until ``close``.
+    Made with ``threaded=False`` it has no thread, and the calling thread
+    runs both halves. ``splits`` says whether products are to be split on it."""
 
     def __init__(self, threaded: bool, splits: bool) -> None:
         self.splits = splits
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="ssfx-helper") if threaded else None
 
-    def submit(self, fn) -> Future:
-        """Run ``fn()`` on the helper, in a copy of the calling thread's context."""
-        context = contextvars.copy_context()
-        if self._pool is not None:
-            return self._pool.submit(context.run, fn)
-        job = Future()
-        try:
-            job.set_result(context.run(fn))
-        except BaseException as exc:  # returned by collect() on the giving thread
-            job.set_exception(exc)
-        return job
-
     def split(self, first, second) -> None:
         """Run ``first()`` on the calling thread while the helper runs
-        ``second()`` (before it, if there is no thread); return once both
+        ``second()`` (before it, if there is no thread), in a copy of the
+        calling thread's context that has no active helper; return once both
         have ended. The calling thread's error is raised if it had one, else
         the helper's."""
-        job = self.submit(second)
+        context = contextvars.copy_context()
+        context.run(_active.set, None)
+        if self._pool is not None:
+            job = self._pool.submit(context.run, second)
+        else:
+            job = Future()
+            try:
+                job.set_result(context.run(second))
+            except BaseException as exc:  # raised below, once first() has run
+                job.set_exception(exc)
         try:
             first()
         finally:
-            error = collect(job)
-        if error is not None:
-            raise error
+            _through_interrupts(job.exception)
+        if job.exception() is not None:
+            raise job.exception()
 
     def close(self) -> None:
-        """Run the jobs still queued, then end the thread and wait for it."""
+        """End the thread and wait for it."""
         if self._pool is not None:
             _through_interrupts(self._pool.shutdown)
 
@@ -153,8 +144,8 @@ def active() -> Helper | None:
 @contextmanager
 def helper_scope():
     """Open a helper for the code inside, with a thread if the process may
-    use two CPUs; join the thread on every exit. Yields the helper. Forward
-    products split on it when the BLAS runs one thread."""
+    use two CPUs; join the thread on every exit. Yields the helper. Products
+    split on it when the BLAS runs one thread."""
     helper = Helper(threaded=usable_cpus() >= 2, splits=blas_threads() == 1)
     token = _active.set(helper)
     try:

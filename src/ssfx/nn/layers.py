@@ -24,8 +24,15 @@ compute, at L = 13, 37, 40, 100 and 150 and batches 32, 28, 4 and 1;
 other shapes and BLAS builds were not checked. With one BLAS thread,
 B=32 and L=40, the ``cnn`` head's forward went from 28.8 to 15.5 ms for
 conv2, from 38.8 to 19.4 ms for conv3 and from 25.1 to 13.3 ms for fc on a
-2-vCPU VM. Backward does not split, as the helper runs Adam's updates then
-(``optim.Adam``).
+2-vCPU VM.
+
+Backward splits under the same gate, sized by the same product: the
+calling thread computes the input gradient (a conv's nine tap GEMMs and
+their scatter-add) while the helper computes the weight and bias
+gradients. Each half is a whole product of its own, so the bits are those
+of the unsplit backward at any shape. The gradient arrays are taken on the
+calling thread before the split, so the first backward allocates them
+from that thread's heap rather than the helper's.
 
 Every layer caches what its backward pass needs during forward (``Layer``
 holds that contract); calling backward without a cached forward is a
@@ -95,10 +102,11 @@ KERNEL = 3
 PADDING = 1
 
 
-# Forward products of at least this many multiply-adds run in two halves
-# inside a helper scope (``_splitter``). At batch 32 and L=40 that is the
-# ``cnn`` head's conv2 and conv3 (472M each) and fc (419M), ``global_fc1``
-# (67M), the fusion trunk's fc3 (34M) and the ``nn`` head's fc2 (16.8M).
+# Products of at least this many multiply-adds run in two halves inside a
+# helper scope (``_splitter``); so do the two products of a backward, each
+# as large as its forward product. At batch 32 and L=40 that is the ``cnn``
+# head's conv2 and conv3 (472M each) and fc (419M), ``global_fc1`` (67M),
+# the fusion trunk's fc3 (34M) and the ``nn`` head's fc2 (16.8M).
 # Below it a half's work barely covers handing it over: the ``cnn`` conv1
 # (3.7M) took 0.96 ms whole or split, and at batch 16 (1.8M) 0.49 ms whole
 # against 0.59 ms split.
@@ -219,19 +227,32 @@ class Conv2D(Layer):
         ho, wo = grad_out.shape[2], grad_out.shape[3]
         g = grad_out.transpose(0, 2, 3, 1).reshape(b * ho * wo, o)
 
-        np.sum(g, axis=0, out=self.bias.grad_array())
-        np.copyto(self.weight.grad_array().reshape(o, c, kh, kw),
-                  (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
-        if not input_grad:
-            return None
+        w_grad, b_grad = self.weight.grad_array(), self.bias.grad_array()
 
+        def weight_grad() -> None:
+            np.sum(g, axis=0, out=b_grad)
+            np.copyto(w_grad.reshape(o, c, kh, kw),
+                      (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+
+        if not input_grad:
+            weight_grad()
+            return None
         # Input gradient: one GEMM per kernel tap, scatter-added into a
         # channels-last padded buffer.
         taps = np.ascontiguousarray(w4.transpose(2, 3, 0, 1))   # (kh, kw, out, in)
         grad_padded = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
-        for i in range(kh):
-            for j in range(kw):
-                grad_padded[:, i : i + ho, j : j + wo, :] += (g @ taps[i, j]).reshape(b, ho, wo, c)
+
+        def data_grad() -> None:
+            for i in range(kh):
+                for j in range(kw):
+                    grad_padded[:, i : i + ho, j : j + wo, :] += (g @ taps[i, j]).reshape(b, ho, wo, c)
+
+        helper = _splitter(len(g) * self.weight.size)
+        if helper is None:
+            weight_grad()
+            data_grad()
+        else:
+            helper.split(data_grad, weight_grad)
         return grad_padded[:, ph : ph + h, pw : pw + w, :].transpose(0, 3, 1, 2)
 
     def _columns(self, rows: int, width: int) -> np.ndarray:
@@ -314,9 +335,27 @@ class Dense(Layer):
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x = self._take_cache()
-        np.matmul(grad_out.T, x, out=self.weight.grad_array())
-        np.sum(grad_out, axis=0, out=self.bias.grad_array())
-        return grad_out @ self.weight.data if input_grad else None
+        w_grad, b_grad = self.weight.grad_array(), self.bias.grad_array()
+
+        def weight_grad() -> None:
+            np.matmul(grad_out.T, x, out=w_grad)
+            np.sum(grad_out, axis=0, out=b_grad)
+
+        if not input_grad:
+            weight_grad()
+            return None
+        grad_in = np.empty(x.shape)
+
+        def data_grad() -> None:
+            np.matmul(grad_out, self.weight.data, out=grad_in)
+
+        helper = _splitter(len(x) * self.weight.size)
+        if helper is None:
+            weight_grad()
+            data_grad()
+        else:
+            helper.split(data_grad, weight_grad)
+        return grad_in
 
 
 class ReLU(Layer):

@@ -13,36 +13,23 @@ allocates nothing in proportion to the parameter count. Each element still
 goes through the same IEEE operations in the same order as the full-array
 formula above, so the result is bit-identical to it.
 
-A step's updates may start before backward ends. ``ready(tensor)`` hands
-over one parameter whose gradient is final, as ``models.Model.backward``
-does right after each layer's backward returns: its block ranges join a
-queue. ``step()`` hands over every parameter not yet handed, then the
-calling thread updates ranges from the back of the queue until it is empty.
-Inside a ``helper.helper_scope`` that started a thread, each hand-over also
-gives the helper a job that updates ranges from the front until the queue
-is empty; so on two CPUs the update of a layer runs while the calling
-thread computes the backward of the layers below it. The helper runs its
-jobs one at a time and in order, and a job that finds the queue empty
-just returns.
-``step()`` returns once the queue is empty and the helper's jobs have
-ended. If an error cuts a step short before ``step()``, the helper's jobs
-drain the queue and end before the scope joins the helper. The bits
-cannot depend on which thread took a range or when: the rule is
-elementwise, the bias corrections are fixed when the step's first range is
-queued, each thread has its own scratch pair, and no range is queued before
-its gradient is final or read after ``step()`` returns.
+Inside a ``helper.helper_scope``, ``step()`` updates the block ranges in
+two halves with ``Helper.split``, alternate ranges to each, so on two CPUs
+one half runs on the scope's helper thread; it does so whatever the BLAS
+thread count, as the update calls no BLAS. Backward has ended by then
+(``models.train`` calls ``step()`` after ``Model.backward``), so no range
+is read before its gradient is final. The bits cannot depend on which
+thread took a range: the rule is elementwise, the bias corrections are
+fixed before either half starts, and each half has its own scratch pair.
 """
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
-from concurrent.futures import Future
 
 import numpy as np
 
 from ..mask import ValidationError
-from .helper import active, collect
+from .helper import active
 from .tensor import Tensor
 
 # Elements per block: 32768 f64 is 256 KiB per array, so a block of the
@@ -76,107 +63,57 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros(t.data.size) for _, t in self.params]
         self._v = [np.zeros(t.data.size) for _, t in self.params]
-        self._scratch = self._scratch_pair()
-        self._index = {id(t): i for i, (_, t) in enumerate(self.params)}
-        self._handed = [False] * len(self.params)  # handed over in the step under way
-        self._corrections: tuple[float, float] | None = None  # of the step under way
-        self._helper_scratch: tuple[np.ndarray, np.ndarray] | None = None
-        # Shared with the helper, under ``_lock``: the queue of (parameter, lo, hi)
-        # ranges. ``_drains`` holds the jobs given in the step under way.
-        self._lock = threading.Lock()
-        self._queue: deque[tuple[int, int, int]] = deque()
-        self._drains: list[Future] = []
+        self._scratch = (self._scratch_pair(), self._scratch_pair())  # one per half
 
     def _scratch_pair(self) -> tuple[np.ndarray, np.ndarray]:
         size = min(BLOCK, max((t.data.size for _, t in self.params), default=0))
         return np.empty(size), np.empty(size)
 
-    def ready(self, tensor: Tensor) -> None:
-        """Queue the update of ``tensor``, whose gradient is final. A tensor
-        this optimizer does not own, such as a frozen one, is ignored."""
-        i = self._index.get(id(tensor))
-        if i is not None and not self._handed[i]:
-            self._hand_over([i])
-
     def step(self) -> None:
-        """Finish one update: queue every parameter not yet handed over (each
-        must have a gradient), then update from the back of the queue until it
-        is empty and the helper's jobs have ended. An error raised on the
-        helper is raised here."""
-        try:
-            self._hand_over([i for i, handed in enumerate(self._handed) if not handed])
-            while (item := self._take_last()) is not None:
-                self._update(item, self._scratch)
-        finally:
-            with self._lock:
-                self._queue.clear()
-            failed = [e for e in map(collect, self._drains) if e is not None]
-            self._drains = []
-            self._handed = [False] * len(self.params)
-            self._corrections = None
-        if failed:
-            raise failed[0]
-
-    def _hand_over(self, indices: list[int]) -> None:
-        for i in indices:
-            name, p = self.params[i]
+        """Update every parameter, each of which must have a gradient. An error
+        raised on the helper's half is raised here once the other half ends."""
+        for name, p in self.params:
             if p.grad is None:
                 raise ValidationError(f"parameter {name!r} has no gradient to step on")
-        if self._corrections is None:
-            self.step_count += 1
-            t = self.step_count
-            self._corrections = (1.0 - BETA1**t, 1.0 - BETA2**t)
-        ranges = [(i, lo, min(lo + BLOCK, self.params[i][1].size))
-                  for i in indices for lo in range(0, self.params[i][1].size, BLOCK)]
-        for i in indices:
-            self._handed[i] = True
+        self.step_count += 1
+        t = self.step_count
+        corrections = (1.0 - BETA1**t, 1.0 - BETA2**t)
+        ranges = [(i, lo, min(lo + BLOCK, p.size))
+                  for i, (_, p) in enumerate(self.params) for lo in range(0, p.size, BLOCK)]
         helper = active()
-        with self._lock:
-            self._queue.extend(ranges)
-        if helper is not None:
-            self._drains.append(helper.submit(self._drain_front))
+        if helper is None:
+            self._update(ranges, corrections, self._scratch[0])
+        else:
+            helper.split(lambda: self._update(ranges[0::2], corrections, self._scratch[0]),
+                         lambda: self._update(ranges[1::2], corrections, self._scratch[1]))
 
-    def _take_last(self) -> tuple[int, int, int] | None:
-        with self._lock:
-            return self._queue.pop() if self._queue else None
-
-    def _drain_front(self) -> None:
-        """A job for the helper: update ranges from the front of the queue until it is empty."""
-        if self._helper_scratch is None:
-            self._helper_scratch = self._scratch_pair()
-        while True:
-            with self._lock:
-                if not self._queue:
-                    return
-                item = self._queue.popleft()
-            self._update(item, self._helper_scratch)
-
-    def _update(self, item: tuple[int, int, int],
+    def _update(self, ranges: list[tuple[int, int, int]], corrections: tuple[float, float],
                 scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        """Apply the rule to elements ``lo:hi`` of parameter ``i``, one block at most."""
-        i, lo, hi = item
-        name, t = self.params[i]
+        """Apply the rule to elements ``lo:hi`` of parameter ``i``, one block at
+        most, for each ``(i, lo, hi)`` of ``ranges``."""
         b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
-        bc1, bc2 = self._corrections
-        pb, gb = _flat(name, t.data)[lo:hi], _flat(name, t.grad)[lo:hi]
-        mb, vb = self._m[i][lo:hi], self._v[i][lo:hi]
-        a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
-        if self.weight_decay:
-            pb *= 1.0 - lr * self.weight_decay
-        mb *= b1
-        vb *= b2
-        np.multiply(gb, 1.0 - b1, out=a)
-        mb += a
-        np.multiply(gb, gb, out=a)
-        a *= 1.0 - b2
-        vb += a
-        np.divide(mb, bc1, out=a)
-        a *= lr
-        np.divide(vb, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        a /= b
-        pb -= a
+        bc1, bc2 = corrections
+        for i, lo, hi in ranges:
+            name, t = self.params[i]
+            pb, gb = _flat(name, t.data)[lo:hi], _flat(name, t.grad)[lo:hi]
+            mb, vb = self._m[i][lo:hi], self._v[i][lo:hi]
+            a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
+            if self.weight_decay:
+                pb *= 1.0 - lr * self.weight_decay
+            mb *= b1
+            vb *= b2
+            np.multiply(gb, 1.0 - b1, out=a)
+            mb += a
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - b2
+            vb += a
+            np.divide(mb, bc1, out=a)
+            a *= lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pb -= a
 
 
 def _flat(name: str, arr: np.ndarray) -> np.ndarray:

@@ -938,9 +938,9 @@ class TestForwardOnlyCallsKeepNothing:
 
 
 class TestAdamHelper:
-    """On two CPUs, ``train`` runs Adam's updates on a helper thread during
-    backward as well; the parameters get the same bits as on one CPU, and
-    the helper never outlives the call."""
+    """On two CPUs, ``train`` runs half of each step's Adam updates on a
+    helper thread; the parameters get the same bits as on one CPU, and the
+    helper never outlives the call."""
 
     plan = TestStepBuffers.plan
 
@@ -987,29 +987,46 @@ class TestAdamHelper:
     @pytest.mark.parametrize("error", [KeyboardInterrupt, ArithmeticError])
     def test_error_in_backward_mid_step_joins_the_helper(self, error, monkeypatch,
                                                          helpers_started):
+        # In the second step, conv2's backward fails on the calling thread's
+        # half while the helper's half sleeps; the sleeper ends before train raises.
         usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(helper_module, "blas_threads", lambda: 1)
+        monkeypatch.setattr(layers_module, "SPLIT_MACS", 1)
         data = toy_dataset(L=8)
         model = self.build("cnn")
-        layers = dict(model.branches[0].layers.layers)
-        handed = []
-        real_ready = Adam.ready
-        monkeypatch.setattr(Adam, "ready", lambda opt, t: (handed.append(t), real_ready(opt, t)))
-        calls = []
-        real_backward = layers["head.conv2"].backward
+        conv2 = dict(model.branches[0].layers.layers)["head.conv2"]
+        calls, failing, finished = [], [], threading.Event()
+        real_backward, real_split = conv2.backward, Helper.split
 
-        def failing_backward(grad, **kwargs):
-            calls.append(len(handed))
-            if len(calls) == 2:
-                raise error("raised mid-step")
-            return real_backward(grad, **kwargs)
+        def backward(grad, **kwargs):
+            calls.append(1)
+            failing.append(len(calls) == 2)
+            try:
+                return real_backward(grad, **kwargs)
+            finally:
+                failing.pop()
 
-        layers["head.conv2"].backward = failing_backward
+        def fail():
+            raise error("raised mid-step")
+
+        def sleep_then_run(half):
+            def run():
+                time.sleep(0.2)
+                half()
+                finished.set()
+            return run
+
+        def split(helper, first, second):
+            if failing and failing[-1]:
+                first, second = fail, sleep_then_run(second)
+            return real_split(helper, first, second)
+
+        conv2.backward = backward
+        monkeypatch.setattr(Helper, "split", split)
         before = threading.active_count()
         with pytest.raises(error, match="raised mid-step"):
             train(self.plan(), data, model)
-        # Each step hands over the classifier's, fc's and conv3's six parameters
-        # before conv2's backward; the second step failed there.
-        assert calls == [6, 16]
+        assert len(calls) == 2 and finished.is_set()
         assert threading.active_count() == before
         assert len(helpers_started) == 1 and not helpers_started[0].is_alive()
         assert all(t.grad is None for _, t in model.parameters())
@@ -1057,7 +1074,8 @@ def split_products(monkeypatch):
 class TestSplitForward:
     """Inside ``train``'s helper scope on two CPUs, a forward product of at
     least ``SPLIT_MACS`` multiply-adds runs in two halves, one per thread,
-    with the bytes of one CPU; a failure on either half leaves nothing behind."""
+    and so do the two products of a backward, with the bytes of one CPU; a
+    failure on either half leaves nothing behind."""
 
     plan = TestStepBuffers.plan
 
@@ -1095,6 +1113,51 @@ class TestSplitForward:
             conv1 = products[0][0]
             assert conv1 >= SPLIT_MACS and (conv1, True) in products
             assert conv1 * 28 // 32 < SPLIT_MACS and (conv1 * 28 // 32, False) in products
+
+    @pytest.mark.parametrize("head", ["cnn", "nn", "pc1d", "fusion"])
+    def test_backward_gives_the_unsplit_bytes_on_one_and_two_cpus(self, head, monkeypatch):
+        model = bench_model(head)
+        products = split_products(monkeypatch)
+        rng = np.random.default_rng(3)
+
+        def gradients(ssf, g, grad_logits):
+            model.forward(ssf, g)
+            model.backward(grad_logits)
+            return [t.grad.tobytes() for _, t in model.parameters()]
+
+        for batch in (32, 28, 4, 1):
+            ssf = rng.uniform(0, 1, (batch, 40, 5))
+            g = rng.standard_normal((batch, 2048)) if head == "fusion" else None
+            grad_logits = rng.standard_normal((batch, 10)) / batch
+            whole = gradients(ssf, g, grad_logits)   # no scope: nothing splits
+            for cpus in (1, 2):
+                usable_cpus(monkeypatch, cpus)
+                with helper_scope():
+                    assert gradients(ssf, g, grad_logits) == whole, (batch, cpus)
+        model.release()
+        assert any(split for _, split in products)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_half_on_the_helper_runs_its_products_whole(self, cpus, monkeypatch):
+        # A product inside the helper's half sees no helper, so it runs whole
+        # instead of queueing a half behind the half that waits for it.
+        usable_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(0)
+        layer, x = Dense(1024, 1024, rng=rng), rng.standard_normal((32, 1024))
+        whole = layer.forward(x).tobytes()
+        products = split_products(monkeypatch)
+        out = []
+
+        def run():
+            with helper_scope() as helper:
+                helper.split(lambda: None, lambda: out.append(layer.forward(x).tobytes()))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert out == [whole]
+        assert products == [(32 * 1024 * 1024, False)]
 
     @pytest.mark.parametrize("head", ["cnn", "nn", "pc1d", "step1", "step2"])
     def test_train_splitting_every_product_gives_the_bytes_of_one_cpu(self, head, monkeypatch,
@@ -1295,7 +1358,7 @@ class TestFrozenBranchRunsOnce:
             for sel in shuffled_batches(data.train_idx, plan.batch_size, plan.seed, epoch):
                 loss, grad = softmax_cross_entropy(
                     model.forward(data.ssf[sel], data.global_vecs[sel]), data.labels[sel])
-                model.backward(grad, frozen, opt.ready)
+                model.backward(grad, frozen)
                 opt.step()
                 total += loss * len(sel)
             losses += [total / len(data.train_idx),

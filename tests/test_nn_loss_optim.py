@@ -234,8 +234,7 @@ class TestAdam:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("helper", [False, True], ids=["alone", "helper"])
-    def test_parameters_handed_over_in_any_order_get_the_bits_of_step(self, helper,
-                                                                      monkeypatch):
+    def test_step_gives_the_same_bits_in_and_out_of_a_scope(self, helper, monkeypatch):
         rng = np.random.default_rng(4)
         sizes = (2 * BLOCK + 5, 7, BLOCK, 1, 3 * BLOCK)
         init = [rng.standard_normal(n) for n in sizes]
@@ -250,14 +249,10 @@ class TestAdam:
         sys.setswitchinterval(1e-6)
         try:
             with cpus_scope(monkeypatch, 2 if helper else 1):
-                for step in range(5):
+                for _ in range(5):
                     for a, b in zip(ours, ref):
                         a.grad = rng.standard_normal(a.size)
                         b.grad = a.grad.copy()
-                    # Some parameters, in a random order, and a tensor Adam does not own.
-                    for i in rng.permutation(len(ours))[: step]:
-                        opt.ready(ours[i])
-                    opt.ready(Tensor(np.ones(4)))
                     opt.step()
                     contextvars.Context().run(ref_opt.step)  # outside the scope: no helper
                     assert [t.data.tobytes() for t in ours] == [t.data.tobytes() for t in ref]
@@ -266,12 +261,13 @@ class TestAdam:
         assert opt.step_count == ref_opt.step_count == 5
 
     def test_error_on_the_helper_is_raised_by_step(self, monkeypatch):
-        # Two ranges of a non-contiguous parameter: the helper takes the first,
-        # and the calling thread may take the second only once the helper failed.
-        p = Tensor(np.zeros((2, BLOCK)))
-        p.data = np.asfortranarray(np.ones((2, BLOCK)))
-        p.grad = np.zeros((2, BLOCK))
-        opt = Adam([("p", p)], learning_rate=0.01)
+        # One range each: ``good`` is the calling thread's half and the
+        # non-contiguous ``bad`` the helper's. The calling thread updates
+        # ``good`` only once the helper has failed, and step() raises its error.
+        good, bad = Tensor(np.ones(8)), Tensor(np.zeros((2, 3)))
+        bad.data = np.asfortranarray(np.ones((2, 3)))
+        good.grad, bad.grad = np.ones(8), np.zeros((2, 3))
+        opt = Adam([("good", good), ("bad", bad)], learning_rate=0.01)
         helper_failed = threading.Event()
         real_flat = optim_module._flat
 
@@ -288,17 +284,19 @@ class TestAdam:
         monkeypatch.setattr(optim_module, "_flat", flat)
         before = threading.active_count()
         with cpus_scope(monkeypatch, 2):
-            opt.ready(p)
-            with pytest.raises(ValidationError, match="parameter 'p': Adam updates C-contiguous"):
+            with pytest.raises(ValidationError, match="parameter 'bad': Adam updates C-contiguous"):
                 opt.step()
         assert helper_failed.is_set()
+        assert (good.data < 1).all()
         assert threading.active_count() == before
 
     def test_a_step_that_raises_returns_once_the_helper_is_idle(self, monkeypatch):
-        good, bad = Tensor(np.ones(8)), Tensor(np.zeros((2, 3)))
+        # One range each: the non-contiguous ``bad`` is the calling thread's
+        # half and ``good`` the helper's, which is slow.
+        bad, good = Tensor(np.zeros((2, 3))), Tensor(np.ones(8))
         bad.data = np.asfortranarray(np.ones((2, 3)))
         good.grad, bad.grad = np.ones(8), np.zeros((2, 3))
-        opt = Adam([("good", good), ("bad", bad)], learning_rate=0.01)
+        opt = Adam([("bad", bad), ("good", good)], learning_rate=0.01)
         helper_started = threading.Event()
         real_flat = optim_module._flat
 
@@ -312,10 +310,9 @@ class TestAdam:
 
         monkeypatch.setattr(optim_module, "_flat", flat)
         with cpus_scope(monkeypatch, 2):
-            opt.ready(good)
             with pytest.raises(ValidationError, match="parameter 'bad'"):
                 opt.step()
-            # The helper's range of ``good`` was done before step() raised.
+            # The helper's half, ``good``, was done before step() raised.
             assert (good.data < 1).all()
 
     def test_step_allocates_nothing_in_proportion_to_the_parameter(self):
