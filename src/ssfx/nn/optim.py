@@ -13,14 +13,27 @@ allocates nothing in proportion to the parameter count. Each element still
 goes through the same IEEE operations in the same order as the full-array
 formula above, so the result is bit-identical to it.
 
+The moments start unwritten (``np.empty``), and the first step writes them
+without reading them: ``m_1 = (1 - b1) * g + 0.0`` and
+``v_1 = g^2 * (1 - b2)``. These are the bits of ``0 * b + x`` that the rule
+gives from zero moments: ``0.0 * b`` is +0.0, and ``x + 0.0`` equals
+``0.0 + x`` for every ``x``, a -0.0 becoming +0.0 in both; ``v_1`` is never
+-0.0, so adding +0.0 to it would change no bit. A moment of a few
+megabytes or more arrives as fresh pages, so reading zeros first would
+fault every page twice, once to map the zero page and once to copy it on
+the write. A step counts (``step_count``) only once every range has been
+updated, so a first step that raised part way is run again as a first
+step, and no step reads a moment that no step wrote.
+
 Inside a ``helper.helper_scope``, ``step()`` updates the block ranges in
 two halves with ``Helper.split``, alternate ranges to each, so on two CPUs
 one half runs on the scope's helper thread; it does so whatever the BLAS
 thread count, as the update calls no BLAS. Backward has ended by then
 (``models.train`` calls ``step()`` after ``Model.backward``), so no range
 is read before its gradient is final. The bits cannot depend on which
-thread took a range: the rule is elementwise, the bias corrections are
-fixed before either half starts, and each half has its own scratch pair.
+thread took a range: the rule is elementwise, both halves compute the
+same bias corrections from the step number, and each half has its own
+scratch pair.
 """
 from __future__ import annotations
 
@@ -61,8 +74,9 @@ class Adam:
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = [np.zeros(t.data.size) for _, t in self.params]
-        self._v = [np.zeros(t.data.size) for _, t in self.params]
+        # Unwritten until the first step writes them (see the module docstring).
+        self._m = [np.empty(t.data.size) for _, t in self.params]
+        self._v = [np.empty(t.data.size) for _, t in self.params]
         self._scratch = (self._scratch_pair(), self._scratch_pair())  # one per half
 
     def _scratch_pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -71,42 +85,48 @@ class Adam:
 
     def step(self) -> None:
         """Update every parameter, each of which must have a gradient. An error
-        raised on the helper's half is raised here once the other half ends."""
+        raised on the helper's half is raised here once the other half ends.
+        A step counts only once both halves have ended without one."""
         for name, p in self.params:
             if p.grad is None:
                 raise ValidationError(f"parameter {name!r} has no gradient to step on")
-        self.step_count += 1
-        t = self.step_count
-        corrections = (1.0 - BETA1**t, 1.0 - BETA2**t)
+        t = self.step_count + 1
         ranges = [(i, lo, min(lo + BLOCK, p.size))
                   for i, (_, p) in enumerate(self.params) for lo in range(0, p.size, BLOCK)]
         helper = active()
         if helper is None:
-            self._update(ranges, corrections, self._scratch[0])
+            self._update(ranges, t, self._scratch[0])
         else:
-            helper.split(lambda: self._update(ranges[0::2], corrections, self._scratch[0]),
-                         lambda: self._update(ranges[1::2], corrections, self._scratch[1]))
+            helper.split(lambda: self._update(ranges[0::2], t, self._scratch[0]),
+                         lambda: self._update(ranges[1::2], t, self._scratch[1]))
+        self.step_count = t
 
-    def _update(self, ranges: list[tuple[int, int, int]], corrections: tuple[float, float],
+    def _update(self, ranges: list[tuple[int, int, int]], t: int,
                 scratch: tuple[np.ndarray, np.ndarray]) -> None:
-        """Apply the rule to elements ``lo:hi`` of parameter ``i``, one block at
-        most, for each ``(i, lo, hi)`` of ``ranges``."""
+        """Apply the rule of step ``t`` to elements ``lo:hi`` of parameter
+        ``i``, one block at most, for each ``(i, lo, hi)`` of ``ranges``."""
         b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
-        bc1, bc2 = corrections
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
         for i, lo, hi in ranges:
-            name, t = self.params[i]
-            pb, gb = _flat(name, t.data)[lo:hi], _flat(name, t.grad)[lo:hi]
+            name, p = self.params[i]
+            pb, gb = _flat(name, p.data)[lo:hi], _flat(name, p.grad)[lo:hi]
             mb, vb = self._m[i][lo:hi], self._v[i][lo:hi]
             a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
             if self.weight_decay:
                 pb *= 1.0 - lr * self.weight_decay
-            mb *= b1
-            vb *= b2
-            np.multiply(gb, 1.0 - b1, out=a)
-            mb += a
-            np.multiply(gb, gb, out=a)
-            a *= 1.0 - b2
-            vb += a
+            if t == 1:  # 0 * b + x, written without reading the unwritten moments
+                np.multiply(gb, 1.0 - b1, out=mb)
+                mb += 0.0
+                np.multiply(gb, gb, out=vb)
+                vb *= 1.0 - b2
+            else:
+                mb *= b1
+                vb *= b2
+                np.multiply(gb, 1.0 - b1, out=a)
+                mb += a
+                np.multiply(gb, gb, out=a)
+                a *= 1.0 - b2
+                vb += a
             np.divide(mb, bc1, out=a)
             a *= lr
             np.divide(vb, bc2, out=b)

@@ -1,4 +1,5 @@
 """Loss and optimizer behavior against frozen values and scalar simulations."""
+import contextlib
 import contextvars
 import math
 import sys
@@ -72,6 +73,27 @@ def cpus_scope(monkeypatch, cpus):
     """A ``helper_scope`` opened as in a process that may use ``cpus`` CPUs."""
     usable_cpus(monkeypatch, cpus)
     return helper_scope()
+
+
+def fail_on_the_helper(monkeypatch):
+    """Patch ``optim._flat`` so that the calling thread's half of a step waits
+    until the helper's half has failed on a non-contiguous parameter. Returns
+    the event set at that failure."""
+    helper_failed = threading.Event()
+    real_flat = optim_module._flat
+
+    def flat(name, arr):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(10)
+            return real_flat(name, arr)
+        try:
+            return real_flat(name, arr)
+        except ValidationError:
+            helper_failed.set()
+            raise
+
+    monkeypatch.setattr(optim_module, "_flat", flat)
+    return helper_failed
 
 
 class TestBlasThreads:
@@ -212,6 +234,96 @@ class TestAdam:
             self.reference_step(ref_p, g, ref_m, ref_v, t, lr, wd)
             assert p.data.tobytes() == ref_p.tobytes(), f"step {t}"
 
+    # Gradients whose first-step moments are edge cases of ``0 * b + x``: a
+    # -0.0 product that must come out +0.0, products that underflow to +-0
+    # (subnormals; 1e-170 squares to 0), and squares that overflow to inf.
+    EDGE_GRADIENTS = {"negative-zero": [-0.0, 0.0, -1.0],
+                      "underflow": [5e-324, -5e-324, 1e-170, -1e-170, 3e-320, -2.2e-308],
+                      "overflow": [1.5e154, -1e200, 1e300]}
+
+    @pytest.mark.parametrize("kind", EDGE_GRADIENTS)
+    @pytest.mark.parametrize("size", [1, BLOCK + 3, 3 * BLOCK], ids=["1", "block+3", "3block"])
+    @pytest.mark.parametrize("cpus", [None, 2], ids=["no-scope", "2-cpus"])
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_first_steps_give_the_bytes_of_zero_moments(self, kind, size, cpus, wd,
+                                                        monkeypatch):
+        rng = np.random.default_rng(size)
+        lr = 1e-3
+        init = rng.standard_normal(size)
+        init[::3] = -0.0
+        p = Tensor(init.copy())
+        opt = Adam([("p", p)], learning_rate=lr, weight_decay=wd)
+        ref_p, ref_m, ref_v = init.copy(), np.zeros(size), np.zeros(size)
+        scope = cpus_scope(monkeypatch, cpus) if cpus else contextlib.nullcontext()
+        with scope, np.errstate(over="ignore"):  # g * g of the "overflow" kind
+            for t in (1, 2):
+                g = rng.standard_normal(size)
+                g[t - 1::2] = np.resize(self.EDGE_GRADIENTS[kind], len(g[t - 1::2]))
+                p.grad = g.copy()
+                opt.step()
+                self.reference_step(ref_p, g, ref_m, ref_v, t, lr, wd)
+                assert opt._m[0].tobytes() == ref_m.tobytes(), f"m, step {t}"
+                assert opt._v[0].tobytes() == ref_v.tobytes(), f"v, step {t}"
+                assert p.data.tobytes() == ref_p.tobytes(), f"p, step {t}"
+
+    def test_first_step_faults_each_moment_page_once(self):
+        # 2**23 f64 is 64 MiB per moment, above glibc's largest mmap
+        # threshold (32 MiB), so each moment is always fresh pages. Reading
+        # such a page before writing it faults twice. Huge pages are off
+        # while the moments are allocated (numpy's switch behind
+        # NUMPY_MADVISE_HUGEPAGE, which the benchmark sets to 0), so that a
+        # fault is one 4 KiB page.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RUSAGE_THREAD"):
+            pytest.skip("no per-thread fault count on this platform")
+        size = 2**23
+        p = Tensor(np.ones(size))
+        p.grad = np.full(size, 0.5)
+        core = np._core if hasattr(np, "_core") else np.core  # numpy 2, numpy 1
+        hugepage = getattr(core.multiarray, "_set_madvise_hugepage", lambda on: on)
+        was = hugepage(False)
+        try:
+            opt = Adam([("p", p)], learning_rate=1e-3, weight_decay=5e-4)
+        finally:
+            hugepage(was)
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        opt.step()
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+        pages = 2 * size * 8 // 4096
+        assert faults <= 1.1 * pages, f"{faults} faults for {pages} moment pages"
+
+    def test_no_step_reads_a_moment_that_no_step_wrote(self, monkeypatch):
+        # The first step fails on the helper's half (``bad``) after the
+        # calling thread's half (``good``) was updated. The moments hold NaN
+        # where nothing wrote them, and a step that read one would put it in
+        # a parameter: the next step must be a first step again.
+        good, bad = Tensor(np.ones(8)), Tensor(np.zeros((2, 3)))
+        bad.data = np.asfortranarray(np.ones((2, 3)))
+        opt = Adam([("good", good), ("bad", bad)], learning_rate=0.01)
+        for moment in opt._m + opt._v:
+            moment.fill(np.nan)
+        rng = np.random.default_rng(5)
+        grads = [(rng.standard_normal(8), rng.standard_normal((2, 3))) for _ in range(3)]
+        helper_failed = fail_on_the_helper(monkeypatch)
+        with cpus_scope(monkeypatch, 2):
+            good.grad, bad.grad = grads[0][0].copy(), grads[0][1].copy()
+            with pytest.raises(ValidationError, match="parameter 'bad'"):
+                opt.step()
+            assert helper_failed.is_set() and opt.step_count == 0
+            bad.data = np.ascontiguousarray(bad.data)
+            for g_good, g_bad in grads[1:]:
+                good.grad, bad.grad = g_good.copy(), g_bad.copy()
+                opt.step()
+        assert opt.step_count == 2
+        # ``good`` kept the failed step's update; then each took steps 1 and 2.
+        refs = [np.ones(8), np.ones((2, 3))]
+        self.reference_step(refs[0], grads[0][0], np.zeros(8), np.zeros(8), 1, 0.01, 0.0)
+        for i, ref in enumerate(refs):
+            m, v = np.zeros(ref.shape), np.zeros(ref.shape)
+            for t in (1, 2):
+                self.reference_step(ref, grads[t][i], m, v, t, 0.01, 0.0)
+        assert [good.data.tobytes(), bad.data.tobytes()] == [r.tobytes() for r in refs]
+
     def test_step_without_a_gradient_is_refused_before_any_update(self):
         p, q = Tensor(np.ones(3)), Tensor(np.ones(2))
         opt = Adam([("p", p), ("q", q)], learning_rate=0.01)
@@ -268,20 +380,7 @@ class TestAdam:
         bad.data = np.asfortranarray(np.ones((2, 3)))
         good.grad, bad.grad = np.ones(8), np.zeros((2, 3))
         opt = Adam([("good", good), ("bad", bad)], learning_rate=0.01)
-        helper_failed = threading.Event()
-        real_flat = optim_module._flat
-
-        def flat(name, arr):
-            if threading.current_thread() is threading.main_thread():
-                assert helper_failed.wait(10)
-                return real_flat(name, arr)
-            try:
-                return real_flat(name, arr)
-            except ValidationError:
-                helper_failed.set()
-                raise
-
-        monkeypatch.setattr(optim_module, "_flat", flat)
+        helper_failed = fail_on_the_helper(monkeypatch)
         before = threading.active_count()
         with cpus_scope(monkeypatch, 2):
             with pytest.raises(ValidationError, match="parameter 'bad': Adam updates C-contiguous"):
