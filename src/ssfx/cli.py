@@ -420,7 +420,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"seed must be >= 0, got {args.seed}")
-        exit_code = _COMMANDS[args.command](args)
+        # An overflow or invalid operation (inf - inf, 0/0) ends the run
+        # with one error line rather than a warning; underflow stays ignored.
+        with np.errstate(over="raise", invalid="raise"):
+            exit_code = _COMMANDS[args.command](args)
     except (ValidationError, FormatError, CheckpointError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError, ArithmeticError) as exc:
         error = f"error: {exc}"

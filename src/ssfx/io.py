@@ -87,10 +87,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if not 0 < maxval <= 255:
         raise FormatError(f"{path}: PGM maxval {maxval} outside (0, 255]")
     pos += 1  # single whitespace byte separates header from raster
-    data = buf[pos : pos + h * w]
-    if len(data) != h * w:
-        raise FormatError(f"{path}: expected {h * w} raster bytes, found {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).astype(np.uint16)
+    found = max(0, len(buf) - pos)
+    if found < h * w:
+        raise FormatError(f"{path}: expected {h * w} raster bytes, found {found}")
+    # A view of the raster inside the file's bytes; the one copy is the cast.
+    raster = np.frombuffer(buf, dtype=np.uint8, count=h * w, offset=pos)
+    return raster.reshape(h, w).astype(np.uint16)
 
 
 def write_pgm(path: str | Path, grid: np.ndarray) -> None:
@@ -106,7 +108,8 @@ def write_pgm(path: str | Path, grid: np.ndarray) -> None:
     Path(path).write_bytes(header + grid.astype(np.uint8).tobytes())
 
 
-def _read_container(path: str | Path, magic: bytes) -> tuple[int, int, bytes]:
+def _read_container(path: str | Path, magic: bytes) -> tuple[int, int, memoryview]:
+    """Check the header; returns height, width and a view of the payload."""
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(buf)} bytes)")
@@ -117,7 +120,7 @@ def _read_container(path: str | Path, magic: bytes) -> tuple[int, int, bytes]:
         raise FormatError(f"{path}: unsupported container version {version}")
     if h < 1 or w < 1:
         raise FormatError(f"{path}: invalid dimensions {h}x{w}")
-    return h, w, buf[_HEADER.size :]
+    return h, w, memoryview(buf)[_HEADER.size :]
 
 
 def read_mask_container(path: str | Path) -> np.ndarray:
@@ -188,10 +191,11 @@ def write_feature_csv(path: str | Path, matrix: SsfMatrix) -> None:
 def load_mask(path: str | Path, num_categories: int, void_value: int | None = 0) -> SegmentationMask:
     """Load a mask from PGM or SSFM, sniffing the format by magic bytes."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"mask file not found: {path}")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+    except (FileNotFoundError, NotADirectoryError):  # what path.exists() reads as absent
+        raise FileNotFoundError(f"mask file not found: {path}") from None
     if magic[:2] == b"P5":
         grid = read_pgm(path)
     elif magic == MASK_MAGIC:

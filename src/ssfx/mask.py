@@ -56,16 +56,22 @@ class SegmentationMask:
                 f"[1, {self.num_categories}]"
             )
 
-        valid = (grid >= 1) & (grid <= self.num_categories)
-        if self.void_value is not None:
-            valid |= grid == self.void_value
-        if not valid.all():
-            flat = int(np.argmax(~valid.ravel()))
-            r, c = divmod(flat, w)
-            raise ValidationError(
-                f"invalid category value {int(grid[r, c])} at pixel index {flat} "
-                f"(row {r}, col {c}); expected void={self.void_value} or 1..{self.num_categories}"
-            )
+        # Two reductions settle the common grids: every value in 1..L, or in
+        # 0..L with void 0. Any other grid takes the elementwise scan, which
+        # finds a nonzero void value and names the first invalid pixel.
+        lo, hi = int(grid.min()), int(grid.max())
+        in_range = hi <= self.num_categories and (lo >= 1 or (lo == 0 and self.void_value == 0))
+        if not in_range:
+            valid = (grid >= 1) & (grid <= self.num_categories)
+            if self.void_value is not None:
+                valid |= grid == self.void_value
+            if not valid.all():
+                flat = int(np.argmax(~valid.ravel()))
+                r, c = divmod(flat, w)
+                raise ValidationError(
+                    f"invalid category value {int(grid[r, c])} at pixel index {flat} "
+                    f"(row {r}, col {c}); expected void={self.void_value} or 1..{self.num_categories}"
+                )
 
         grid = grid.copy()
         grid.setflags(write=False)

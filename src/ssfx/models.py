@@ -588,6 +588,10 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     this pass, of an epoch or of a test pass) has such a count, one sample
     say, rows can differ in the last bits from a forward per step. Runs
     stay reproducible from their seed.
+
+    Under a numpy ``errstate`` that raises, as the command line sets, a
+    ``FloatingPointError`` becomes an ``ArithmeticError`` naming the epoch
+    and batch, the test pass, or the frozen branch's pass it came from.
     """
     kind = model.kind
     if _STAGE_MODEL[plan.stage] != kind:
@@ -615,6 +619,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
     opt = Adam(trainable, learning_rate=plan.learning_rate, weight_decay=plan.weight_decay)
 
     metrics: list[dict] = []
+    where = "in the frozen branch's pass"
     try:
         with helper_scope():
             start = time.perf_counter()
@@ -623,6 +628,7 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                 epoch_loss = 0.0
                 correct = 0
                 batches = shuffled_batches(data.train_idx, plan.batch_size, plan.seed, epoch)
+                where = f"at epoch {epoch}, batch 0"
                 for batch, (logits, labels) in enumerate(forward_batches(model, data, batches)):
                     loss, grad = softmax_cross_entropy(logits, labels)
                     if not np.isfinite(loss):
@@ -632,7 +638,10 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                     opt.step()
                     epoch_loss += loss * len(labels)
                     correct += int((np.argmax(logits, axis=1) == labels).sum())
+                    # The next batch's forward runs inside the generator.
+                    where = f"at epoch {epoch}, batch {batch + 1}"
                 trained = time.perf_counter()
+                where = f"in the test pass at epoch {epoch}"
                 test_loss, confusion = score_split(model, data, data.test_idx, plan.batch_size)
                 test_acc = int(np.trace(confusion)) / len(data.test_idx)
                 tested = time.perf_counter()
@@ -644,6 +653,8 @@ def train(plan: TrainPlan, data: LoadedDataset, model: Model) -> tuple[Checkpoin
                 metrics.append({"epoch": epoch, "split": "test", "loss": test_loss,
                                 "accuracy": test_acc, "seconds": tested - trained})
                 start = tested
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"training diverged: {exc} {where}") from exc
     finally:
         for b in model.branches:
             if isinstance(b.layers, _Ran):

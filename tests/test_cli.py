@@ -237,8 +237,8 @@ class TestExitCodes:
         assert err == (f"error: {tmp_path / 'nan.ssfc'}: "
                        f"parameter 'global_fc1.weight' is not finite\n")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-    def test_step2_on_global_vectors_that_overflow_the_frozen_branch(self, tmp_path, capsys):
+    def test_step2_on_global_vectors_that_overflow_the_frozen_branch(self, tmp_path, capsys,
+                                                                     recwarn):
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--variant", "split-info",
                      "--samples", "3"]) == 0
@@ -255,8 +255,15 @@ class TestExitCodes:
                    "--from-checkpoint", str(tmp_path / "step1" / "model.ssfc"),
                    "--epochs", "1", "--out", str(run)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: fuse_concat inputs must be finite\n"
+        # One error line, and no numpy RuntimeWarning before it.
+        assert capsys.readouterr().err == ("error: training diverged: overflow encountered in "
+                                           "matmul in the frozen branch's pass\n")
         assert sorted(p.name for p in run.iterdir()) == ["run_record.json"]
+        # `eval` of the step-1 model overflows in the same product.
+        assert main(["eval", "--manifest", str(manifest),
+                     "--checkpoint", str(tmp_path / "step1" / "model.ssfc")]) == 1
+        assert capsys.readouterr().err == "error: overflow encountered in matmul\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_eval_of_narrower_global_vectors_is_one_line_data_error(self, narrow_global,
                                                                     capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssfx import SegmentationMask, ValidationError
-from ssfx.features import COLUMNS, FeatureSubset, extract_ssf, select_subset
+from ssfx.features import COLUMNS, STRIP_PIXELS, FeatureSubset, extract_ssf, select_subset
 from ssfx.mask import MAX_SIDE
 
 from oracles import naive_ssf, random_mask_grid
@@ -142,6 +142,41 @@ class TestOracleAgreement:
         np.testing.assert_array_equal(a, b)
 
 
+class TestStripEdges:
+    """The row histogram is counted in strips of ``STRIP_PIXELS // w`` rows."""
+
+    W = 640
+    ROWS = STRIP_PIXELS // W
+
+    @staticmethod
+    def check(grid, L, void):
+        got = extract_ssf(mask_of(grid, L, void)).values
+        np.testing.assert_allclose(got, naive_ssf(grid, L, void_value=void), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("void", [0, 255])
+    @pytest.mark.parametrize("h", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_heights_around_a_strip(self, h, void):
+        grid = random_mask_grid(np.random.default_rng(h), 40, h, self.W, void_fraction=0.2)
+        grid[grid == 0] = void
+        self.check(grid, 40, void)
+
+    @pytest.mark.parametrize("void", [0, 255])
+    @pytest.mark.parametrize("shape", [(1, MAX_SIDE), (STRIP_PIXELS // MAX_SIDE + 1, MAX_SIDE),
+                                       (MAX_SIDE, 1)])
+    def test_max_side(self, shape, void):
+        grid = random_mask_grid(np.random.default_rng(1), 6, *shape, void_fraction=0.2)
+        grid[grid == 0] = void
+        self.check(grid, 6, void)
+
+    def test_every_category_of_a_large_label_set(self):
+        L = 894
+        rng = np.random.default_rng(2)
+        grid = random_mask_grid(rng, L, 2 * self.ROWS + 1, self.W, 0.2)
+        grid.ravel()[rng.choice(grid.size, L, replace=False)] = np.arange(1, L + 1)
+        assert len(np.unique(grid)) == L + 1
+        self.check(grid, L, 0)
+
+
 class TestInvariants:
     def test_translation_shifts_mean_only(self):
         grid = np.zeros((16, 24), dtype=np.int64)
@@ -229,6 +264,16 @@ class TestInvariants:
             assert per_pixel * h * w <= peak < bound, (h, w, peak)
 
 
+def scan_verdict(grid, L, void):
+    """The message of the first pixel outside 1..L and not void, row-major, or None."""
+    for flat, v in enumerate(np.asarray(grid).ravel().tolist()):
+        if not (1 <= v <= L or v == void):
+            r, c = divmod(flat, grid.shape[1])
+            return (f"invalid category value {v} at pixel index {flat} (row {r}, col {c}); "
+                    f"expected void={void} or 1..{L}")
+    return None
+
+
 class TestValidation:
     def test_out_of_range_value_names_pixel(self):
         grid = np.array([[1, 1], [7, 1]])
@@ -250,6 +295,27 @@ class TestValidation:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             SegmentationMask(data=np.ones((0, 4), dtype=np.uint8), num_categories=1)
+
+    @pytest.mark.parametrize("void", [None, 0, 255, -1])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16, np.int64])
+    def test_decides_as_a_pixel_scan(self, dtype, void):
+        # Whether or not the grid's min and max settle it, validation accepts
+        # a grid, or names its first invalid pixel, as a scan of every pixel does.
+        L = 3
+        values = [v for v in (-1, 0, 1, L, L + 1, 255) if np.can_cast(np.min_scalar_type(v), dtype)]
+        for fill in values:
+            for last in values:
+                # `fill` everywhere, `last` at the last pixel only
+                grid = np.full((2, 3), fill, dtype=dtype)
+                grid[-1, -1] = last
+                expected = scan_verdict(grid, L, void)
+                if expected is None:
+                    mask = SegmentationMask(grid, L, void)
+                    np.testing.assert_array_equal(mask.data, grid)
+                else:
+                    with pytest.raises(ValidationError) as failed:
+                        SegmentationMask(grid, L, void)
+                    assert str(failed.value) == expected, (fill, last)
 
 
 class TestSubset:

@@ -40,9 +40,21 @@ class TestPgm:
 
     def test_truncated_raster(self, tmp_path):
         p = tmp_path / "m.pgm"
-        p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(FormatError, match="expected 16 raster bytes"):
+        for raster, found in ((bytes(7), 7), (b"", 0)):
+            p.write_bytes(b"P5\n4 4\n255\n" + raster)
+            with pytest.raises(FormatError) as failed:
+                read_pgm(p)
+            assert str(failed.value) == f"{p}: expected 16 raster bytes, found {found}"
+        p.write_bytes(b"P5\n4 4\n255")  # no separator byte either
+        with pytest.raises(FormatError, match="found 0$"):
             read_pgm(p)
+
+    def test_bytes_after_the_raster_are_ignored(self, tmp_path):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5\n2 1\n255\n" + bytes([3, 4, 5, 6]))
+        grid = read_pgm(p)
+        assert grid.tolist() == [[3, 4]] and grid.dtype == np.uint16
+        assert grid.flags.writeable and grid.flags.owndata
 
     def test_maxval_over_255_rejected(self, tmp_path):
         p = tmp_path / "m.pgm"
@@ -82,8 +94,15 @@ class TestMaskContainer:
         p = tmp_path / "m.ssfm"
         write_mask_container(p, np.zeros((4, 4), dtype=np.uint16))
         p.write_bytes(p.read_bytes()[:-3])
-        with pytest.raises(FormatError, match="payload"):
+        with pytest.raises(FormatError) as failed:
             read_mask_container(p)
+        assert str(failed.value) == f"{p}: expected 32 payload bytes, found 29"
+
+    def test_grid_is_a_writable_copy(self, tmp_path):
+        p = tmp_path / "m.ssfm"
+        write_mask_container(p, np.array([[1, 2], [3, 4]], dtype=np.uint16))
+        grid = read_mask_container(p)
+        assert grid.dtype == np.uint16 and grid.flags.writeable and grid.flags.owndata
 
     def test_wrong_version(self, tmp_path):
         p = tmp_path / "m.ssfm"
@@ -162,8 +181,12 @@ class TestLoadMask:
             load_mask(p, num_categories=3)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_mask(tmp_path / "absent.pgm", num_categories=3)
+        (tmp_path / "file").write_bytes(b"")
+        # absent, and a path that runs through a regular file
+        for p in (tmp_path / "absent.pgm", tmp_path / "file" / "m.pgm"):
+            with pytest.raises(FileNotFoundError) as failed:
+                load_mask(p, num_categories=3)
+            assert str(failed.value) == f"mask file not found: {p}"
 
     def test_out_of_range_value_propagates(self, tmp_path):
         p = tmp_path / "m.pgm"

@@ -456,6 +456,20 @@ class TestTrainingLoop:
                 ArithmeticError, match="test loss nan at epoch 0"):
             train(plan, data, model)
 
+    @pytest.mark.parametrize("batch_size, where", [(8, "at epoch 0, batch 1"),
+                                                   (None, "in the test pass at epoch 0")])
+    def test_overflow_under_a_raising_errstate_names_where(self, batch_size, where):
+        # The runs of the two tests above, under the errstate the command line sets.
+        data = toy_dataset()
+        model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
+                                          np.random.default_rng(0), hidden=(8, 12))
+        plan = self.plan(epochs=1, batch_size=batch_size or len(data.train_idx),
+                         learning_rate=1e200)
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(
+                ArithmeticError,
+                match=f"^training diverged: overflow encountered in matmul {where}$"):
+            train(plan, data, model)
+
     def test_non_finite_parameter_is_not_checkpointed(self):
         data = toy_dataset()
         model = build_semantic_classifier("nn", FeatureSubset(), 4, 2,
